@@ -14,7 +14,6 @@ import sys
 import time
 from fractions import Fraction
 
-from .budgets import C1_CLUSTERING, C2_VOTING  # noqa: F401 (re-exported)
 from .errors import GenerationError, InputError, PowerGraphError
 from .exact import exact_mds, exact_mvc
 from .graph import DS2, VC2, Graph, is_feasible, make_solution, square

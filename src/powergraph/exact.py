@@ -9,7 +9,7 @@ first optimal solution found under the (deterministic) branch order is kept.
 from fractions import Fraction
 
 from .errors import SizeCapError
-from .graph import DS1, VC1, Fraction as _F, make_solution  # noqa: F401
+from .graph import DS1, VC1, make_solution
 
 DEFAULT_CAP = 64
 

@@ -102,35 +102,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self._m})"
 
 
-class SquareView:
-    """Adjacency view of G^2 (edge iff distance in G is 1 or 2)."""
-
-    def __init__(self, base):
-        self.base = base
-        self._sets = [set(a) for a in base.adj]
-
-    def has_edge(self, u, v):
-        if u == v:
-            return False
-        if v in self._sets[u]:
-            return True
-        # distance exactly 2: a common neighbor exists
-        a, b = self._sets[u], self._sets[v]
-        if len(a) > len(b):
-            a, b = b, a
-        return any(w in b for w in a)
-
-    def neighbors(self, u):
-        out = set(self._sets[u])
-        for w in self._sets[u]:
-            out |= self._sets[w]
-        out.discard(u)
-        return sorted(out)
-
-    def materialize(self):
-        return square(self.base)
-
-
 def square(g):
     """Return G^2: same vertices and weights, edge iff dist_G(u,v) <= 2."""
     edges = []

@@ -57,48 +57,36 @@ class EstimateConfig:
 # ---------------------------------------------------------------------------
 
 class _StatusDegreeProgram(NodeProgram):
-    """One round: everyone announces (uncovered?, degree)."""
+    """One round: everyone announces (uncovered?, degree); the output maps
+    each neighbor to what it announced."""
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.sent = False
-        self.info = {}
+        self.output = {}
 
     def step(self, r, inbox):
-        for s, (flag, deg) in inbox.items():
-            self.info[s] = (flag, deg)
-        if not self.sent:
-            self.sent = True
-            flag, deg = self.ctx.local
-            return {u: (flag, deg) for u in self.ctx.neighbors}
-        self.idle = True
+        self.output.update(inbox)
+        if r == 0:
+            return {u: self.ctx.local for u in self.ctx.neighbors}
         return {}
-
-    def finish(self):
-        self.output = self.info
 
 
 class _EdgeStreamProgram(NodeProgram):
     """Low-degree vertices stream (neighbor, status) pairs; everyone
-    collects what its neighbors forward."""
+    collects what its neighbors forward, as {sender: [(vertex, status)]}."""
 
     def __init__(self, ctx):
         super().__init__(ctx)
         self.queue = list(ctx.local)  # items to announce, may be empty
-        self.heard = {}  # sender -> list of (vertex, status)
+        self.output = {}
 
     def step(self, r, inbox):
         for s, msg in inbox.items():
-            self.heard.setdefault(s, []).append((msg[0], msg[1]))
+            self.output.setdefault(s, []).append((msg[0], msg[1]))
         if self.queue:
             item = self.queue.pop(0)
-            self.idle = False
             return {u: item for u in self.ctx.neighbors}
-        self.idle = True
         return {}
-
-    def finish(self):
-        self.output = self.heard
 
 
 class _SampleMinProgram(NodeProgram):

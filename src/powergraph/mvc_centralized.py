@@ -12,8 +12,7 @@ from fractions import Fraction
 
 from .errors import ConnectivityError, InputError
 from .graph import VC2, Graph, make_solution, matching_2approx, square
-from .mvc_distributed import _decode_f, _f_items, phase1_unweighted
-from .protocols import elect_leader_bfs, pipelined_broadcast, pipelined_convergecast
+from .mvc_distributed import leader_phase2, phase1_unweighted
 from .sim import CONGEST, Model
 
 
@@ -158,20 +157,8 @@ def g2mvc_hybrid(g, model=None, seed=0):
     eps = Fraction(1, 2)
     S, _, stats = phase1_unweighted(g, eps, model, seed=seed)
     U = set(range(g.n)) - S
-    leader, parent, depth, st = elect_leader_bfs(g, model, seed=seed)
-    stats.add(st)
-    gathered, st2 = pipelined_convergecast(
-        g, (leader, parent), _f_items(g, U), model, seed=seed
+    cover, st = leader_phase2(
+        g, U, model, seed, lambda H: vc_53_on_square(H)[0]
     )
-    stats.add(st2)
-    H = _decode_f(gathered, g.n)
-    red = [
-        (a, b)
-        for (a, b, flag) in set(gathered)
-        if flag == 3  # original edges with both endpoints uncovered
-    ]
-    cover, _ = vc_53_on_square(H, red_edges=red)
-    payload = [(v,) for v in sorted(cover)]
-    _, st3 = pipelined_broadcast(g, (leader, parent), payload, model, seed=seed)
-    stats.add(st3)
+    stats.add(st)
     return make_solution(g, VC2, S | cover), stats

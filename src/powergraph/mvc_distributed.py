@@ -16,7 +16,7 @@ from .errors import (
     InputError,
     RoundCapError,
 )
-from .exact import DEFAULT_CAP, exact_mvc
+from .exact import exact_mvc
 from .graph import VC2, Graph, make_solution
 from .protocols import elect_leader_bfs, pipelined_broadcast, pipelined_convergecast
 from .sim import CLIQUE, CONGEST, Model, NodeProgram, RoundStats, run, word_bits
@@ -123,11 +123,12 @@ def phase1_unweighted(g, eps, model=None, seed=0):
 # Phase II: gather F at a leader, rebuild H = G^2[U], solve, flood back.
 # ---------------------------------------------------------------------------
 
-def build_H_from_F(F, U, n=None):
+def build_H_from_F(F, U, n=None, weights=None):
     """Reconstruct G^2[U] from F = {edges of G touching U}.
 
-    Returns an n-vertex graph whose edges are exactly those of G^2 between
-    U vertices; vertices outside U stay isolated.
+    Returns an n-vertex graph, carrying `weights` when given, whose edges
+    are exactly those of G^2 between U vertices; vertices outside U stay
+    isolated.
     """
     U = set(U)
     F = {(min(u, v), max(u, v)) for (u, v) in F}
@@ -147,28 +148,28 @@ def build_H_from_F(F, U, n=None):
         for i in range(len(in_u)):
             for j in range(i + 1, len(in_u)):
                 edges.add((in_u[i], in_u[j]))
-    return Graph(n, sorted(edges))
+    return Graph(n, sorted(edges), weights=weights)
+
+
+def _f_item(v, u, v_in, u_in):
+    """The F-edge item (a, b, flag) for edge vu, with a < b; flag bit0
+    marks a in U, bit1 marks b."""
+    if v > u:
+        v, u, v_in, u_in = u, v, u_in, v_in
+    return (v, u, (1 if v_in else 0) | (2 if u_in else 0))
 
 
 def _f_items(g, U):
     """Per-node F-edge items: v reports its edges toward U-neighbors.
-
-    Item = (a, b, flag) with a < b; flag bit0 marks a in U, bit1 marks b.
-    Every F-edge has an endpoint in U, so its other endpoint reports it.
-    """
-    items = []
-    for v in range(g.n):
-        mine = []
-        for u in g.adj[v]:
-            if u in U:
-                a, b = min(u, v), max(u, v)
-                flag = (1 if a in U else 0) | (2 if b in U else 0)
-                mine.append((a, b, flag))
-        items.append(mine)
-    return items
+    Every F-edge has an endpoint in U, so its other endpoint reports it."""
+    return [
+        [_f_item(v, u, v in U, True) for u in g.adj[v] if u in U]
+        for v in range(g.n)
+    ]
 
 
-def _decode_f(gathered, n):
+def _decode_f(gathered, n, weights=None):
+    """H = G^2[U] from gathered F-edge items, U read off their flags."""
     F = set()
     U_seen = set()
     for (a, b, flag) in set(gathered):
@@ -177,36 +178,39 @@ def _decode_f(gathered, n):
             U_seen.add(a)
         if flag & 2:
             U_seen.add(b)
-    return build_H_from_F(F, U_seen, n=n)
+    return build_H_from_F(F, U_seen, n=n, weights=weights)
 
 
-def _phase2(g, U, model, seed, cap):
-    leader, parent, depth, stats = elect_leader_bfs(g, model, seed=seed)
-    gathered, st2 = pipelined_convergecast(
-        g, (leader, parent), _f_items(g, U), model, seed=seed
-    )
-    stats.add(st2)
-    H = _decode_f(gathered, g.n)
-    if g.weights is not None:
-        H = Graph(H.n, list(H.edges()), weights=dict(g.weights))
-    r_star = exact_mvc(H, cap=cap)
-    payload = [(v,) for v in sorted(r_star.members)]
-    _, st3 = pipelined_broadcast(g, (leader, parent), payload, model, seed=seed)
-    stats.add(st3)
-    return set(r_star.members), stats
+def leader_phase2(g, U, model, seed, solve):
+    """Phase II: elect a leader, gather F there, rebuild H = G^2[U] with
+    g's weights, cover H with solve(H) and broadcast the cover.
+
+    Returns (cover vertex set, RoundStats).
+    """
+    leader, parent, _, stats = elect_leader_bfs(g, model, seed=seed)
+    tree = (leader, parent)
+    gathered, st = pipelined_convergecast(g, tree, _f_items(g, U), model, seed=seed)
+    stats.add(st)
+    cover = set(solve(_decode_f(gathered, g.n, g.weights)))
+    payload = [(v,) for v in sorted(cover)]
+    _, st = pipelined_broadcast(g, tree, payload, model, seed=seed)
+    stats.add(st)
+    return cover, stats
 
 
-def g2mvc_trivial(g, r=2):
+def _solve_exact(H):
+    return exact_mvc(H).members
+
+
+def g2mvc_trivial(g):
     """All vertices: on a connected graph any vertex cover of G^2 has at
     least n/2 vertices, so the full vertex set is a 2-approximation."""
-    if r < 1:
-        raise InputError("r must be >= 1")
     if not g.is_connected():
         raise ConnectivityError("g2mvc_trivial requires a connected graph")
     return make_solution(g, VC2, set(range(g.n)))
 
 
-def g2mvc_eps(g, eps, model=None, seed=0, cap=DEFAULT_CAP):
+def g2mvc_eps(g, eps, model=None, seed=0):
     """(1+eps)-approximate vertex cover of G^2 in O(n/eps) CONGEST rounds."""
     if g.weights is not None:
         raise InputError("g2mvc_eps is unweighted; use g2mwvc_eps")
@@ -221,7 +225,7 @@ def g2mvc_eps(g, eps, model=None, seed=0, cap=DEFAULT_CAP):
         return g2mvc_trivial(g), RoundStats()
     S, _, stats = phase1_unweighted(g, eps, model, seed=seed)
     U = set(range(g.n)) - S
-    members, st2 = _phase2(g, U, model, seed, cap)
+    members, st2 = leader_phase2(g, U, model, seed, _solve_exact)
     stats.add(st2)
     return make_solution(g, VC2, S | members), stats
 
@@ -291,25 +295,20 @@ def class_selectable(g, members, eps):
 
 
 class _WeightSetupProgram(NodeProgram):
-    """One round: everyone tells its neighbors its weight."""
+    """One round: everyone tells its neighbors its weight; the output maps
+    each neighbor to its weight."""
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.sent = False
-        self.nbr_w = {}
+        self.output = {}
 
     def step(self, r, inbox):
         for s, msg in inbox.items():
-            self.nbr_w[s] = _decode_weight(msg, self.ctx.word_bits)
-        if not self.sent:
-            self.sent = True
+            self.output[s] = _decode_weight(msg, self.ctx.word_bits)
+        if r == 0:
             msg = _encode_weight(self.ctx.local, self.ctx.word_bits)
             return {u: msg for u in self.ctx.neighbors}
-        self.idle = True
         return {}
-
-    def finish(self):
-        self.output = self.nbr_w
 
 
 class _WeightedPassProgram(NodeProgram):
@@ -444,7 +443,7 @@ def weighted_phase1(g, eps, model=None, seed=0):
     return S, stats
 
 
-def g2mwvc_eps(g, eps, model=None, seed=0, cap=DEFAULT_CAP):
+def g2mwvc_eps(g, eps, model=None, seed=0):
     """(1+eps)-approximate weighted vertex cover of G^2, exact rationals."""
     if g.weights is None:
         raise InputError("g2mwvc_eps requires vertex weights")
@@ -454,7 +453,7 @@ def g2mwvc_eps(g, eps, model=None, seed=0, cap=DEFAULT_CAP):
         model = Model(CONGEST)
     S, stats = weighted_phase1(g, eps, model, seed=seed)
     U = set(range(g.n)) - S
-    members, st2 = _phase2(g, U, model, seed, cap)
+    members, st2 = leader_phase2(g, U, model, seed, _solve_exact)
     stats.add(st2)
     return make_solution(g, VC2, S | members), stats
 
@@ -477,10 +476,9 @@ class _VotingProgram(NodeProgram):
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        eps, max_phases, cap = ctx.local
+        eps, max_phases = ctx.local
         self.threshold = Fraction(8, 1) / eps + 2
         self.max_phases = max_phases
-        self.cap = cap
         self.in_R = True
         self.in_cover = False
         self.r_nbrs = set(ctx.neighbors)
@@ -549,10 +547,7 @@ class _VotingProgram(NodeProgram):
         self.queue = []
         for u in ctx.neighbors:
             if u in self.r_nbrs or self.in_R:
-                a, b = min(u, ctx.node), max(u, ctx.node)
-                a_in = (a == u and u in self.r_nbrs) or (a == ctx.node and self.in_R)
-                b_in = (b == u and u in self.r_nbrs) or (b == ctx.node and self.in_R)
-                self.queue.append((a, b, (1 if a_in else 0) | (2 if b_in else 0)))
+                self.queue.append(_f_item(ctx.node, u, self.in_R, u in self.r_nbrs))
         if ctx.node == 0:
             self.collected = list(self.queue)
             self.queue = []
@@ -571,7 +566,7 @@ class _VotingProgram(NodeProgram):
                     self.remaining -= 1
             if self.remaining == 0:
                 H = _decode_f(self.collected, ctx.n)
-                members = exact_mvc(H, cap=self.cap).members
+                members = exact_mvc(H).members
                 self.in_cover = self.in_cover or (0 in members)
                 self.halted = True
                 self.output = {"in_cover": self.in_cover, "phases": self.phase}
@@ -591,7 +586,7 @@ class _VotingProgram(NodeProgram):
         return {}
 
 
-def g2mvc_cc_voting(g, eps, seed=0, cap=DEFAULT_CAP, model=None):
+def g2mvc_cc_voting(g, eps, seed=0, model=None):
     """Randomized congested-clique cover: O(log n + 1/eps) rounds w.h.p."""
     if g.weights is not None:
         raise InputError("g2mvc_cc_voting is unweighted")
@@ -607,7 +602,7 @@ def g2mvc_cc_voting(g, eps, seed=0, cap=DEFAULT_CAP, model=None):
     max_phases = 8 * max(1, math.ceil(math.log2(g.n + 1))) + 16
 
     def factory(ctx):
-        ctx.local = (eps, max_phases, cap)
+        ctx.local = (eps, max_phases)
         return _VotingProgram(ctx)
 
     outputs, stats = run(g, factory, model, seed=seed)

@@ -10,29 +10,21 @@ class _BfsFloodProgram(NodeProgram):
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.best = ctx.node
-        self.depth = 0
-        self.parent = None
+        self.output = (ctx.node, None, 0)  # (leader, parent, depth)
         self.dirty = True  # something new to announce
-        self.idle = False
 
     def step(self, r, inbox):
-        for sender, (leader, depth) in sorted(inbox.items()):
-            if leader < self.best or (leader == self.best and depth + 1 < self.depth):
-                self.best = leader
-                self.depth = depth + 1
-                self.parent = sender
+        best, _, depth = self.output
+        for sender, (leader, d) in sorted(inbox.items()):
+            if leader < best or (leader == best and d + 1 < depth):
+                best, depth = leader, d + 1
+                self.output = (best, sender, depth)
                 self.dirty = True
-        out = {}
-        if self.dirty:
-            msg = (self.best, self.depth)
-            out = {u: msg for u in self.ctx.neighbors}
-            self.dirty = False
-        self.idle = not self.dirty
-        return out
-
-    def finish(self):
-        self.output = (self.best, self.parent, self.depth)
+        if not self.dirty:
+            return {}
+        self.dirty = False
+        msg = (best, depth)
+        return {u: msg for u in self.ctx.neighbors}
 
 
 def elect_leader_bfs(g, model=None, seed=0):
@@ -57,57 +49,28 @@ def elect_leader_bfs(g, model=None, seed=0):
 
 
 class _ConvergecastProgram(NodeProgram):
-    """Ship one item per round toward the root along tree edges."""
+    """Ship one item per round toward the root: along tree edges under
+    CONGEST, straight to the root under CLIQUE.  The root's output is the
+    list of items it holds."""
 
     def __init__(self, ctx):
         super().__init__(ctx)
         parent, items = ctx.local
         self.parent = parent
-        self.queue = list(items)
-        self.collected = list(items) if parent is None else []
-        self.idle = True
+        if parent is None:
+            self.output = list(items)
+        else:
+            self.queue = list(items)
 
     def step(self, r, inbox):
         for sender in sorted(inbox):
-            item = inbox[sender]
             if self.parent is None:
-                self.collected.append(item)
+                self.output.append(inbox[sender])
             else:
-                self.queue.append(item)
+                self.queue.append(inbox[sender])
         if self.parent is not None and self.queue:
-            self.idle = False
             return {self.parent: self.queue.pop(0)}
-        self.idle = True
         return {}
-
-    def finish(self):
-        self.output = sorted(self.collected) if self.parent is None else None
-
-
-class _CliqueGatherProgram(NodeProgram):
-    """CLIQUE convergecast: everyone sends straight to the root, one item
-    per round."""
-
-    def __init__(self, ctx):
-        super().__init__(ctx)
-        root, items = ctx.local
-        self.root = root
-        self.queue = list(items)
-        self.collected = list(items) if ctx.node == root else []
-        self.idle = True
-
-    def step(self, r, inbox):
-        if self.ctx.node == self.root:
-            for sender in sorted(inbox):
-                self.collected.append(inbox[sender])
-        if self.ctx.node != self.root and self.queue:
-            self.idle = False
-            return {self.root: self.queue.pop(0)}
-        self.idle = True
-        return {}
-
-    def finish(self):
-        self.output = sorted(self.collected) if self.ctx.node == self.root else None
 
 
 def pipelined_convergecast(g, tree, items, model, seed=0):
@@ -123,26 +86,28 @@ def pipelined_convergecast(g, tree, items, model, seed=0):
                 raise EncodingError(
                     f"item of {len(item)} words exceeds bandwidth at node {v}"
                 )
-    if model.variant == CLIQUE:
-        def factory(ctx):
-            ctx.local = (root, items[ctx.node])
-            return _CliqueGatherProgram(ctx)
-    else:
-        def factory(ctx):
+
+    def factory(ctx):
+        if ctx.node == root:
+            p = None
+        elif model.variant == CLIQUE:
+            p = root
+        else:
             p = parent.get(ctx.node)
-            if ctx.node != root and p is None:
+            if p is None:
                 raise InputError(f"node {ctx.node} has no parent in the tree")
-            ctx.local = (None if ctx.node == root else p, items[ctx.node])
-            return _ConvergecastProgram(ctx)
+        ctx.local = (p, items[ctx.node])
+        return _ConvergecastProgram(ctx)
+
     outputs, stats = run(g, factory, model, seed=seed, stop_on_quiescence=True)
-    return outputs[root], stats
+    return sorted(outputs[root]), stats
 
 
 class _BroadcastProgram(NodeProgram):
     """Pipelined tree broadcast of a list of word tuples from the root.
 
-    The first message announces how many items follow, so every node can
-    halt on its own once the stream is complete.
+    The first message announces how many items follow; the output is the
+    list of items received so far.
     """
 
     def __init__(self, ctx):
@@ -150,34 +115,26 @@ class _BroadcastProgram(NodeProgram):
         children, payload = ctx.local
         self.children = children
         self.expected = None
-        self.received = []
+        self.output = []
         self.queue = []
         if payload is not None:  # root
             self.expected = len(payload)
-            self.received = list(payload)
-            self.queue = [(len(payload),)] + [tuple(p) for p in payload]
-        self.idle = True
+            self.output = [tuple(p) for p in payload]
+            self.queue = [(len(payload),)] + self.output
 
     def step(self, r, inbox):
         for sender in sorted(inbox):
             msg = inbox[sender]
             if self.expected is None:
                 (self.expected,) = msg
-                self.queue.append(msg)
             else:
-                self.received.append(msg)
-                self.queue.append(msg)
-        out = {}
+                self.output.append(msg)
+            self.queue.append(msg)
         if self.queue and self.children:
             msg = self.queue.pop(0)
-            out = {c: msg for c in self.children}
-        elif self.queue:
-            self.queue = []
-        self.idle = not self.queue
-        return out
-
-    def finish(self):
-        self.output = sorted(tuple(m) for m in self.received)
+            return {c: msg for c in self.children}
+        self.queue = []
+        return {}
 
 
 def pipelined_broadcast(g, tree, payload, model, seed=0):
@@ -195,4 +152,4 @@ def pipelined_broadcast(g, tree, payload, model, seed=0):
         return _BroadcastProgram(ctx)
 
     outputs, stats = run(g, factory, model, seed=seed, stop_on_quiescence=True)
-    return outputs, stats
+    return [sorted(o) for o in outputs], stats

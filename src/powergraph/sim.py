@@ -5,6 +5,11 @@ every message may carry at most `bandwidth_words` words.  The simulator
 delivers messages only at round boundaries, so execution order within a
 round cannot matter, and all randomness flows from per-node streams keyed
 by (seed, node id).
+
+A run ends by one of two rules.  By default it ends once every node has
+set `halted`.  With `stop_on_quiescence`, it also ends after the first
+sweep in which no node sends; that silent sweep is not counted as a round.
+Either way the engine then reads each node's `output`.
 """
 
 import math
@@ -35,33 +40,23 @@ class Model:
 
 
 class RoundStats:
-    __slots__ = ("rounds", "messages", "max_message_bits", "violations")
+    __slots__ = ("rounds", "messages", "max_message_bits")
 
-    def __init__(self, rounds=0, messages=0, max_message_bits=0, violations=0):
+    def __init__(self, rounds=0, messages=0, max_message_bits=0):
         self.rounds = rounds
         self.messages = messages
         self.max_message_bits = max_message_bits
-        self.violations = violations
 
     def add(self, other):
         self.rounds += other.rounds
         self.messages += other.messages
         self.max_message_bits = max(self.max_message_bits, other.max_message_bits)
-        self.violations += other.violations
         return self
-
-    def as_dict(self):
-        return {
-            "rounds": self.rounds,
-            "messages": self.messages,
-            "max_message_bits": self.max_message_bits,
-            "violations": self.violations,
-        }
 
     def __repr__(self):
         return (
             f"RoundStats(rounds={self.rounds}, messages={self.messages}, "
-            f"max_message_bits={self.max_message_bits}, violations={self.violations})"
+            f"max_message_bits={self.max_message_bits})"
         )
 
 
@@ -89,35 +84,39 @@ class NodeContext:
 
 
 class NodeProgram:
-    """Base class: subclasses override step() and set halted/idle/output.
+    """Base class: subclasses override step() and keep halted/output set.
 
-    `idle` means "I will send nothing unless I receive something"; it lets
-    flooding-style protocols stop at global quiescence without a global
-    termination detector.
+    step() returns this sweep's outbox, {destination: word tuple}.  A node
+    that sets `halted` is not stepped again.  `output` is read when the run
+    ends, by either stop rule, so a program run under `stop_on_quiescence`
+    keeps it current as it goes: such a run can end after any silent sweep.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
         self.halted = False
-        self.idle = False
         self.output = None
 
     def step(self, round_index, inbox):
         raise NotImplementedError
 
-    def finish(self):
-        """Called once when the run stops at quiescence."""
-
 
 def default_round_cap(n):
     env = os.environ.get(ROUND_CAP_ENV)
-    if env is not None:
-        return int(env)
-    return 100 * max(1, n) * max(1, n)
+    if env is None:
+        return 100 * max(1, n) * max(1, n)
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise InputError(f"{ROUND_CAP_ENV} must be a positive integer, got {env!r}")
+    return cap
 
 
 def run(g, factory, model, seed=0, round_cap=None, stop_on_quiescence=False):
-    """Execute one NodeProgram per vertex until all halt (or quiescence).
+    """Execute one NodeProgram per vertex until all halt, or, with
+    stop_on_quiescence, until a sweep in which no node sends.
 
     factory(ctx) -> NodeProgram.  Returns (list of outputs, RoundStats).
     """
@@ -170,17 +169,8 @@ def run(g, factory, model, seed=0, round_cap=None, stop_on_quiescence=False):
                 stats.messages += 1
                 stats.max_message_bits = max(stats.max_message_bits, len(msg) * bits)
                 sent_any = True
-        if (
-            stop_on_quiescence
-            and not sent_any
-            and all(p.halted or p.idle for p in programs)
-        ):
-            # the probe sweep exchanged nothing: not a communication round
-            for p in programs:
-                if not p.halted:
-                    p.finish()
-                    p.halted = True
-            break
+        if stop_on_quiescence and not sent_any:
+            break  # the silent sweep exchanged nothing: not a round
         stats.rounds += 1
         inboxes = next_inboxes
     return [p.output for p in programs], stats

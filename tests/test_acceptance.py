@@ -8,6 +8,7 @@ determinism of the CLI) at desk scale.
 """
 
 import math
+import os
 import random
 import subprocess
 import sys
@@ -15,6 +16,7 @@ from fractions import Fraction
 
 import pytest
 
+import powergraph
 from powergraph.budgets import C1_CLUSTERING, C2_VOTING
 from powergraph.exact import exact_mds, exact_mvc
 from powergraph.graph import DS2, VC2, Graph, is_feasible, square
@@ -40,6 +42,7 @@ from powergraph.mvc_distributed import (
     weight_classes,
     weighted_phase1,
 )
+from powergraph.sim import Model, word_bits
 
 from oracles import brute_min_ds, brute_min_vc, random_connected_gnp
 
@@ -134,18 +137,18 @@ def test_04_round_budgets():
         l, _ = effective_epsilon(eps)
 
         _, st1 = g2mvc_eps(g, eps, seed=seed)
-        assert st1.violations == 0
+        assert st1.max_message_bits <= Model().bandwidth_words * word_bits(n)
         if st1.rounds <= C1_CLUSTERING * n * l:
             in_budget_1 += 1
 
         _, st2 = g2mvc_cc_voting(g, eps, seed=seed)
-        assert st2.violations == 0
+        assert st2.max_message_bits <= Model().bandwidth_words * word_bits(n)
         if st2.rounds <= C2_VOTING * (math.log2(n) + 1 / eps):
             in_budget_2 += 1
     ok = in_budget_1 >= 95 and in_budget_2 >= 95
     gate(4, "round budgets", ok,
          f"clustering {in_budget_1}/100, clique voting {in_budget_2}/100 "
-         "within budget, zero bandwidth violations")
+         "within budget, every message within bandwidth")
 
 
 def test_05_centralized_five_thirds():
@@ -308,9 +311,13 @@ def test_10_hardness_transforms():
 
 
 def cli(*argv, cwd=None):
+    # the child imports the same powergraph as this process, installed or not
+    src = os.path.dirname(os.path.dirname(powergraph.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
         [sys.executable, "-m", "powergraph.cli", *argv],
-        capture_output=True, cwd=cwd,
+        capture_output=True, cwd=cwd, env=env,
     )
     return proc.returncode, proc.stdout
 

@@ -1,6 +1,7 @@
 """Tests for the graph file format and the command-line harness."""
 
 import json
+import os
 
 import pytest
 
@@ -209,6 +210,21 @@ class TestRun:
         assert code == 1
         assert json.loads(out)["error"] == "ParseError"
 
+    @pytest.mark.parametrize("cap", ["abc", "0"])
+    def test_bad_round_cap_env_is_one_record(self, c5_file, capsys,
+                                             monkeypatch, cap):
+        monkeypatch.setenv("POWERGRAPH_ROUND_CAP", cap)
+        code = main(["run", "--algo", "g2mvc-eps", "--input", c5_file,
+                     "--eps", "1/2"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert len(lines) == 1
+        record = json.loads(lines[0])
+        assert record["error"] == "InputError"
+        assert "POWERGRAPH_ROUND_CAP" in record["message"]
+
     def test_timing_only_when_requested(self, c5_file, capsys):
         _, plain = run_cli(capsys, "run", "--algo", "exact-mvc2",
                            "--input", c5_file)
@@ -332,6 +348,16 @@ class TestSweep:
         assert len(lines) == 1 + 27
         for line in lines[1:]:
             assert ",False," not in line  # every run feasible
+
+    def test_acceptance_suite_matches_golden(self, capsys):
+        # rounds, messages and bits are the simulated cost: refactors keep them
+        golden = os.path.join(os.path.dirname(__file__), "data",
+                              "acceptance_sweep.csv")
+        with open(golden, encoding="utf-8", newline="") as fh:
+            expected = fh.read()
+        code, out = run_cli(capsys, "sweep", "--suite", "acceptance")
+        assert code == 0
+        assert out == expected
 
     def test_unknown_suite(self, capsys):
         code, out = run_cli(capsys, "sweep", "--suite", "nope")

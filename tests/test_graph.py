@@ -9,7 +9,6 @@ from powergraph.graph import (
     VC1,
     VC2,
     Graph,
-    SquareView,
     is_feasible,
     make_solution,
     matching_2approx,
@@ -94,16 +93,6 @@ class TestSquare:
             ]
             g = Graph(n, edges)
             assert set(square(g).edges()) == bfs_dist_le2_edges(n, edges)
-
-    def test_square_view_agrees_with_materialized(self):
-        g = Graph(6, [(0, 1), (1, 2), (2, 3), (4, 5)])
-        view = SquareView(g)
-        g2 = view.materialize()
-        e2 = set(g2.edges())
-        for u in range(6):
-            for v in range(u + 1, 6):
-                assert view.has_edge(u, v) == ((u, v) in e2)
-        assert view.neighbors(1) == [0, 2, 3]
 
     def test_square_preserves_weights(self):
         g = Graph(3, [(0, 1), (1, 2)], weights={0: 2, 1: 3, 2: 5})

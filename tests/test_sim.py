@@ -8,6 +8,8 @@ from powergraph.errors import (
     RoundCapError,
 )
 from powergraph.graph import Graph
+from powergraph.mds_distributed import estimate_2hop_counts, g2mds_logd
+from powergraph.mvc_distributed import weighted_phase1
 from powergraph.protocols import (
     elect_leader_bfs,
     pipelined_broadcast,
@@ -46,10 +48,11 @@ class EchoTwoRounds(NodeProgram):
 
 class TestRun:
     def test_broadcast_once_on_k3(self):
-        _, stats = run(complete(3), BroadcastOnce, Model(CONGEST))
+        g, model = complete(3), Model(CONGEST)
+        _, stats = run(g, BroadcastOnce, model)
         assert stats.rounds == 1
         assert stats.messages == 6
-        assert stats.violations == 0
+        assert stats.max_message_bits <= model.bandwidth_words * word_bits(g.n)
 
     def test_zero_bandwidth_rejects_any_message(self):
         with pytest.raises(BandwidthError):
@@ -208,3 +211,24 @@ class TestBroadcast:
         leader, parent, depth, _ = elect_leader_bfs(g)
         outputs, _ = pipelined_broadcast(g, (leader, parent), [], Model(CONGEST))
         assert outputs == [[], [], []]
+
+
+class TestQuiescence:
+    def test_silent_sweep_ends_run_uncounted(self):
+        class Silent(NodeProgram):
+            def step(self, r, inbox):
+                self.output = r
+                return {}
+
+        outputs, stats = run(path(3), Silent, Model(CONGEST),
+                             stop_on_quiescence=True)
+        assert outputs == [0, 0, 0]
+        assert stats.rounds == 0
+
+    def test_edgeless_graph_round_counts(self):
+        # the status and weight announcements send nothing here
+        one = Graph(1, [])
+        assert g2mds_logd(one)[1].rounds == 14
+        assert estimate_2hop_counts(one, {0})[2].rounds == 0
+        weighted = Graph(1, [], weights={0: 1})
+        assert weighted_phase1(weighted, 1)[1].rounds == 3
