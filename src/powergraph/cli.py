@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .errors import GenerationError, InputError, PowerGraphError
 from .exact import exact_mds, exact_mvc
-from .graph import DS2, VC2, Graph, is_feasible, make_solution, square
+from .graph import DS1, DS2, VC1, VC2, Graph, is_feasible, make_solution, square
 from .graphio import format_graph, read_graph, write_graph, write_sidecar
 from .lowerbound import (
     gen_mds_base,
@@ -164,8 +164,8 @@ def _value_json(value):
     return str(value)
 
 
-def _execute(algo, g, eps, seed, model_name):
-    """Run one algorithm; returns (solution, stats)."""
+def _execute(algo, g, sq, eps, seed, model_name):
+    """Run one algorithm; sq is square(g).  Returns (solution, stats)."""
     needs_eps = algo in ("g2mvc-eps", "g2mwvc-eps", "g2mvc-cc")
     if needs_eps and eps is None:
         raise InputError(f"--eps is required for {algo}")
@@ -178,10 +178,8 @@ def _execute(algo, g, eps, seed, model_name):
             sol, _trace = g2mvc_53(g)
             return sol, RoundStats()
         if algo == "exact-mvc2":
-            sol = exact_mvc(square(g))
-            return make_solution(g, VC2, sol.members), RoundStats()
-        sol = exact_mds(square(g))
-        return make_solution(g, DS2, sol.members), RoundStats()
+            return make_solution(g, VC2, exact_mvc(sq).members), RoundStats()
+        return make_solution(g, DS2, exact_mds(sq).members), RoundStats()
     model = Model(model_name)
     if algo == "g2mvc-eps":
         return g2mvc_eps(g, eps, model=model, seed=seed)
@@ -200,8 +198,9 @@ def run_report(algo, g, eps=None, seed=0, model_name=None, with_opt=False,
                timing=False):
     if model_name is None:
         model_name = DEFAULT_MODEL[algo]
+    sq = square(g)
     start = time.perf_counter()
-    sol, stats = _execute(algo, g, eps, seed, model_name)
+    sol, stats = _execute(algo, g, sq, eps, seed, model_name)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     kind = DS2 if algo in DS_ALGOS else VC2
     report = {
@@ -215,11 +214,13 @@ def run_report(algo, g, eps=None, seed=0, model_name=None, with_opt=False,
         "messages": stats.messages,
         "max_message_bits": stats.max_message_bits,
         "value": _value_json(sol.value),
-        "feasible": is_feasible(g, kind, sol.members),
+        "feasible": is_feasible(sq, DS1 if kind == DS2 else VC1, sol.members),
     }
     if with_opt:
-        target = square(g)
-        opt = (exact_mds(target) if kind == DS2 else exact_mvc(target)).value
+        if algo in ("exact-mvc2", "exact-mds2"):
+            opt = sol.value
+        else:
+            opt = (exact_mds(sq) if kind == DS2 else exact_mvc(sq)).value
         report["opt"] = _value_json(opt)
         if opt > 0:
             report["ratio"] = float(Fraction(sol.value) / Fraction(opt))

@@ -2,8 +2,9 @@
 
 Both are branch-and-bound searches with standard reductions; they are meant
 for desk-scale instances and refuse anything larger than a configurable
-vertex cap.  With a fixed input the returned optimum is deterministic: the
-first optimal solution found under the (deterministic) branch order is kept.
+vertex cap (for vertex cover, per connected component).  With a fixed input
+the returned optimum is deterministic: the first optimal solution found
+under the (deterministic) branch order is kept.
 """
 
 from fractions import Fraction
@@ -17,25 +18,45 @@ DEFAULT_CAP = 64
 def exact_mvc(g, cap=DEFAULT_CAP):
     """Minimum-weight vertex cover of g itself (apply to square(g) for VC2).
 
-    The size guard counts non-isolated vertices, since isolated vertices
-    never enter a cover.
+    Each connected component is covered on its own, and the size guard
+    applies to each one; isolated vertices never enter a cover and are not
+    counted.  The cover is the one a search of the whole graph would keep.
     """
-    active = [v for v in range(g.n) if g.adj[v]]
-    if len(active) > cap:
-        raise SizeCapError(
-            f"{len(active)} non-isolated vertices exceeds cap {cap}"
-        )
-    adj = {v: set(g.adj[v]) for v in active}
-    chosen = set()
-    # zero-weight vertices are free: take any that covers an edge
-    if g.weights is not None:
-        for v in sorted(adj):
-            if v in adj and g.weight(v) == 0 and adj[v]:
-                _take_into_cover(adj, chosen, v)
+    comps = _components(g)
+    largest = max(map(len, comps), default=0)
+    if largest > cap:
+        raise SizeCapError(f"a component of {largest} vertices exceeds cap {cap}")
+    members = set()
+    for comp in comps:
+        adj = {v: set(g.adj[v]) for v in comp}
+        chosen = set()
+        # zero-weight vertices are free: take any that covers an edge
+        if g.weights is not None:
+            for v in sorted(adj):
+                if v in adj and g.weight(v) == 0 and adj[v]:
+                    _take_into_cover(adj, chosen, v)
+        best = _MvcBest()
+        _mvc_branch(g, adj, chosen, best)
+        members |= best.members
+    return make_solution(g, VC1, members)
 
-    best = _MvcBest()
-    _mvc_branch(g, adj, chosen, g.total_weight(chosen), best)
-    return make_solution(g, VC1, best.members)
+
+def _components(g):
+    """Vertex lists of g's connected components that have an edge."""
+    seen = set()
+    comps = []
+    for root in range(g.n):
+        if root in seen or not g.adj[root]:
+            continue
+        seen.add(root)
+        comp = [root]
+        for u in comp:
+            for w in g.adj[u]:
+                if w not in seen:
+                    seen.add(w)
+                    comp.append(w)
+        comps.append(comp)
+    return comps
 
 
 class _MvcBest:
@@ -109,9 +130,8 @@ def _mvc_lower_bound(g, adj):
     return lb
 
 
-def _mvc_branch(g, adj, chosen, weight, best):
-    adj = {v: set(s) for v, s in adj.items()}
-    chosen = set(chosen)
+def _mvc_branch(g, adj, chosen, best):
+    """Search below one node; adj and chosen belong to it and are changed."""
     _mvc_reduce(g, adj, chosen)
     weight = g.total_weight(chosen)
     if not adj:
@@ -120,20 +140,17 @@ def _mvc_branch(g, adj, chosen, weight, best):
     if best.weight is not None and weight + _mvc_lower_bound(g, adj) >= best.weight:
         return
     # branch on a max-degree vertex (smallest id on ties)
-    v = max(sorted(adj), key=lambda u: len(adj[u]))
-    v = min(u for u in adj if len(adj[u]) == len(adj[v]))
+    v = min(adj, key=lambda u: (-len(adj[u]), u))
     # branch 1: v in the cover
     a1 = {u: set(s) for u, s in adj.items()}
     c1 = set(chosen)
     _take_into_cover(a1, c1, v)
-    _mvc_branch(g, a1, c1, weight + g.weight(v), best)
+    _mvc_branch(g, a1, c1, best)
     # branch 2: v excluded, so all its neighbors join
-    a2 = {u: set(s) for u, s in adj.items()}
-    c2 = set(chosen)
     for u in sorted(adj[v]):
-        if u in a2:
-            _take_into_cover(a2, c2, u)
-    _mvc_branch(g, a2, c2, g.total_weight(c2), best)
+        if u in adj:
+            _take_into_cover(adj, chosen, u)
+    _mvc_branch(g, adj, chosen, best)
 
 
 def exact_mds(g, cap=DEFAULT_CAP):
@@ -226,9 +243,7 @@ def _mds_lower_bound(g, candidates, uncovered):
 
 
 def _mds_branch(g, candidates, uncovered, chosen, best):
-    candidates = {v: set(s) for v, s in candidates.items()}
-    uncovered = set(uncovered)
-    chosen = set(chosen)
+    """Search below one node; its arguments belong to it and are changed."""
     _mds_reduce(g, candidates, uncovered, chosen)
     weight = g.total_weight(chosen)
     if not uncovered:

@@ -15,21 +15,24 @@ sampling entirely and count exactly from explicitly forwarded edges.
 """
 
 import math
-import random
 from fractions import Fraction
 
 from .errors import InputError, RoundCapError
 from .graph import DS2, make_solution
-from .sim import CONGEST, Model, NodeProgram, RoundStats, run, word_bits
+from .protocols import exchange
+from .sim import (
+    CONGEST, Model, NodeProgram, RoundStats, node_rng, run, to_words, word_bits,
+)
 
 
 class EstimateConfig:
     """Knobs for the 2-hop cardinality estimator.
 
-    eps_est bounds the relative error, samples the number of exponential
-    draws (default keeps the failure bound exp(-eps^2 r / 3) <= n^-2),
-    exact_threshold the degree below which neighborhoods are counted
-    exactly instead of estimated.
+    eps_est bounds each sampled estimate's relative error, but only with
+    probability 1 - O(n^-2), not always; samples is the number of
+    exponential draws (the default keeps the failure bound
+    exp(-eps^2 r / 3) <= n^-2), and exact_threshold the degree below which
+    neighborhoods are counted exactly instead of estimated.
     """
 
     def __init__(self, eps_est=Fraction(1, 8), samples=None, exact_threshold=None):
@@ -56,28 +59,14 @@ class EstimateConfig:
 # estimation
 # ---------------------------------------------------------------------------
 
-class _StatusDegreeProgram(NodeProgram):
-    """One round: everyone announces (uncovered?, degree); the output maps
-    each neighbor to what it announced."""
-
-    def __init__(self, ctx):
-        super().__init__(ctx)
-        self.output = {}
-
-    def step(self, r, inbox):
-        self.output.update(inbox)
-        if r == 0:
-            return {u: self.ctx.local for u in self.ctx.neighbors}
-        return {}
-
-
 class _EdgeStreamProgram(NodeProgram):
-    """Low-degree vertices stream (neighbor, status) pairs; everyone
-    collects what its neighbors forward, as {sender: [(vertex, status)]}."""
+    """Low-degree vertices stream (neighbor, status) pairs, staying awake
+    while they have pairs left; everyone collects what its neighbors
+    forward, as {sender: [(vertex, status)]}."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, items):
         super().__init__(ctx)
-        self.queue = list(ctx.local)  # items to announce, may be empty
+        self.queue = list(items)  # items to announce, may be empty
         self.output = {}
 
     def step(self, r, inbox):
@@ -85,8 +74,26 @@ class _EdgeStreamProgram(NodeProgram):
             self.output.setdefault(s, []).append((msg[0], msg[1]))
         if self.queue:
             item = self.queue.pop(0)
+            self.awake = bool(self.queue)
             return {u: item for u in self.ctx.neighbors}
         return {}
+
+
+# Samples travel as two words each.  These run on every estimator message,
+# so they stay specialised: per four-sample message, sim.from_words over
+# two-word slices took 1.6 times as long to decode, and summed
+# sim.to_words tuples 7.7 times as long to encode (Python 3.11).
+
+def _pack_samples(vals, bits):
+    mask = (1 << bits) - 1
+    out = []
+    for v in vals:
+        out.extend((v >> bits, v & mask))
+    return tuple(out)
+
+
+def _unpack_samples(msg, bits):
+    return [(msg[2 * i] << bits) | msg[2 * i + 1] for i in range(len(msg) // 2)]
 
 
 class _SampleMinProgram(NodeProgram):
@@ -94,29 +101,17 @@ class _SampleMinProgram(NodeProgram):
     nothing to report for a chunk stays silent; a missing per-chunk
     minimum therefore means no sample-holder within two hops."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, chunks):
         super().__init__(ctx)
-        self.chunks = ctx.local  # per-chunk word tuple, or None if not in U
-        self.n_chunks = len(self.chunks)
+        self.awake = True
+        self.chunks = chunks  # per-chunk word tuple, or None if not in U
         self.mins = []  # per chunk: list of per-sample minima, or None
         self.stage_best = None
 
-    def _decode(self, msg):
-        bits = self.ctx.word_bits
-        return [
-            (msg[2 * i] << bits) | msg[2 * i + 1] for i in range(len(msg) // 2)
-        ]
-
-    def _encode(self, vals):
-        bits = self.ctx.word_bits
-        out = []
-        for v in vals:
-            out.extend((v >> bits, v & ((1 << bits) - 1)))
-        return tuple(out)
-
     def _fold(self, best, inbox):
+        bits = self.ctx.word_bits
         for s in sorted(inbox):
-            vals = self._decode(inbox[s])
+            vals = _unpack_samples(inbox[s], bits)
             if best is None:
                 best = vals
             else:
@@ -128,12 +123,14 @@ class _SampleMinProgram(NodeProgram):
         if sweep == 0:
             if chunk > 0:  # close out the previous chunk
                 self.mins.append(self._fold(self.stage_best, inbox))
-            if chunk == self.n_chunks:
-                self.halted = True
+            if chunk == len(self.chunks):
+                self.awake = False
                 self.output = self.mins
                 return {}
             own = self.chunks[chunk]
-            self.stage_best = self._decode(own) if own is not None else None
+            self.stage_best = (
+                _unpack_samples(own, self.ctx.word_bits) if own is not None else None
+            )
             if own is not None:
                 return {u: own for u in self.ctx.neighbors}
             return {}
@@ -142,7 +139,8 @@ class _SampleMinProgram(NodeProgram):
         self.stage_best = best
         if best is None:
             return {}
-        return {u: self._encode(best) for u in self.ctx.neighbors}
+        msg = _pack_samples(best, self.ctx.word_bits)
+        return {u: msg for u in self.ctx.neighbors}
 
 
 def _draw_samples(rng, count, frac_bits, max_val):
@@ -173,14 +171,10 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
     stats = RoundStats()
 
     # stage 1: statuses and degrees
-    def status_factory(ctx):
-        ctx.local = (1 if ctx.node in U else 0, ctx.degree)
-        return _StatusDegreeProgram(ctx)
-
-    info, st = run(g, status_factory, model, seed=seed, stop_on_quiescence=True)
+    status = [(1 if v in U else 0, g.degree(v)) for v in range(n)]
+    info, st = exchange(g, status, model, seed=seed)
     stats.add(st)
 
-    low = [v for v in range(n) if g.degree(v) < threshold]
     exact = [
         g.degree(v) < threshold
         and all(g.degree(u) < threshold for u in g.adj[v])
@@ -190,13 +184,11 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
     # stage 2: low-degree vertices forward their edges with statuses
     def stream_factory(ctx):
         items = []
-        if ctx.degree < threshold:
-            for u in ctx.neighbors:
-                items.append((u, info[ctx.node][u][0]))
-        ctx.local = items
-        return _EdgeStreamProgram(ctx)
+        if len(ctx.neighbors) < threshold:
+            items = [(u, info[ctx.node][u][0]) for u in ctx.neighbors]
+        return _EdgeStreamProgram(ctx, items)
 
-    heard, st = run(g, stream_factory, model, seed=seed, stop_on_quiescence=True)
+    heard, st = run(g, stream_factory, model, seed=seed)
     stats.add(st)
 
     estimates = [Fraction(0)] * n
@@ -225,22 +217,18 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
 
     draws = {}
     for v in sorted(U):
-        rng = random.Random((int(seed) << 32) ^ (0x5EED ^ v))
+        rng = node_rng(seed, v, salt=0x5EED)
         draws[v] = _draw_samples(rng, r, frac_bits, max_val)
 
     def sample_factory(ctx):
-        chunks = []
-        for c in range(n_chunks):
-            if ctx.node in draws:
-                part = draws[ctx.node][c * per_chunk : (c + 1) * per_chunk]
-                words = []
-                for val in part:
-                    words.extend((val >> bits, val & ((1 << bits) - 1)))
-                chunks.append(tuple(words))
-            else:
-                chunks.append(None)
-        ctx.local = chunks
-        return _SampleMinProgram(ctx)
+        chunks = [None] * n_chunks
+        if ctx.node in draws:
+            own = draws[ctx.node]
+            chunks = [
+                _pack_samples(own[c * per_chunk : (c + 1) * per_chunk], bits)
+                for c in range(n_chunks)
+            ]
+        return _SampleMinProgram(ctx, chunks)
 
     mins, st = run(g, sample_factory, model, seed=seed)
     stats.add(st)
@@ -266,9 +254,9 @@ class _RelayBestProgram(NodeProgram):
     Tracks the neighbor that first delivered the final best (the gateway
     toward the origin)."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, value, hops, prefer_min):
         super().__init__(ctx)
-        value, hops, prefer_min = ctx.local
+        self.awake = True
         self.best = value  # tuple of words + (origin,) or None
         self.hops = hops
         self.prefer_min = prefer_min
@@ -290,7 +278,7 @@ class _RelayBestProgram(NodeProgram):
             elif val == self.best and self.gateway is not None and s < self.gateway:
                 self.gateway = s
         if r >= self.hops:
-            self.halted = True
+            self.awake = False
             self.output = (self.best, self.gateway)
             return {}
         if self.dirty and self.best is not None:
@@ -304,8 +292,7 @@ def _relay_best(g, values, hops, prefer_min, model, seed):
     (best, gateway), RoundStats)."""
 
     def factory(ctx):
-        ctx.local = (values[ctx.node], hops, prefer_min)
-        return _RelayBestProgram(ctx)
+        return _RelayBestProgram(ctx, values[ctx.node], hops, prefer_min)
 
     return run(g, factory, model, seed=seed)
 
@@ -314,9 +301,10 @@ class _VoteProgram(NodeProgram):
     """Voters send their chosen candidate's id toward the gateway; relays
     aggregate per-candidate counts; candidates tally."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, vote):
         super().__init__(ctx)
-        self.vote = ctx.local  # (candidate, gateway) or None
+        self.awake = True
+        self.vote = vote  # (candidate, gateway) or None
         self.tally = 0
         self.forward = {}
 
@@ -341,7 +329,7 @@ class _VoteProgram(NodeProgram):
             return {c: (k,) for c, k in counts.items()}
         for s, msg in inbox.items():
             self.tally += msg[0]
-        self.halted = True
+        self.awake = False
         self.output = self.tally
         return {}
 
@@ -349,10 +337,11 @@ class _VoteProgram(NodeProgram):
 class _CoverFloodProgram(NodeProgram):
     """Winners flood a covered flag two hops out."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, is_winner):
         super().__init__(ctx)
-        self.is_winner = ctx.local
-        self.covered = bool(ctx.local)
+        self.awake = True
+        self.is_winner = is_winner
+        self.covered = is_winner
 
     def step(self, r, inbox):
         if r == 0:
@@ -366,7 +355,7 @@ class _CoverFloodProgram(NodeProgram):
             return {}
         if inbox:
             self.covered = True
-        self.halted = True
+        self.awake = False
         self.output = self.covered
         return {}
 
@@ -379,7 +368,7 @@ def _next_pow2_exponent(x):
     return k
 
 
-def g2mds_logd(g, seed=0, cfg=None, model=None, max_phases=None):
+def g2mds_logd(g, seed=0, cfg=None, model=None):
     """O(log Delta)-approximate dominating set of G^2; returns
     (Solution, RoundStats)."""
     if cfg is None:
@@ -389,11 +378,10 @@ def g2mds_logd(g, seed=0, cfg=None, model=None, max_phases=None):
     n = g.n
     if n == 0:
         return make_solution(g, DS2, set()), RoundStats()
-    if max_phases is None:
-        max_phases = 16 * (math.ceil(math.log2(n + 1)) + 1)
+    max_phases = 16 * (math.ceil(math.log2(n + 1)) + 1)
     stall_cap = 8 * (math.ceil(math.log2(n + 1)) + 2)
     stats = RoundStats()
-    rngs = [random.Random((int(seed) << 32) ^ v) for v in range(n)]
+    rngs = {}  # candidates' rank streams, made on first use
     dominators = set()
     covered = [False] * n
     stall = 0
@@ -415,11 +403,8 @@ def g2mds_logd(g, seed=0, cfg=None, model=None, max_phases=None):
         values = [
             ((rho_exp[v], v) if rho_exp[v] is not None else None) for v in range(n)
         ]
-        word_vals = [
-            ((val[0], val[1]) if val is not None else None) for val in values
-        ]
         out, st = _relay_best(
-            g, word_vals, hops=4, prefer_min=False, model=model, seed=seed
+            g, values, hops=4, prefer_min=False, model=model, seed=seed
         )
         stats.add(st)
         candidates = set()
@@ -430,15 +415,13 @@ def g2mds_logd(g, seed=0, cfg=None, model=None, max_phases=None):
 
         # ranks in [n^4], spread two hops with gateways
         bits = word_bits(n)
-        mask = (1 << bits) - 1
         rank_vals = [None] * n
-        rank_of = {}
         for c in sorted(candidates):
+            if c not in rngs:
+                rngs[c] = node_rng(seed, c)
             rnk = rngs[c].randrange(max(1, n ** 4))
-            rank_of[c] = rnk
-            # big-endian so tuple comparison orders by numeric rank
-            words = tuple((rnk >> (bits * (3 - k))) & mask for k in range(4))
-            rank_vals[c] = words + (c,)
+            # to_words keeps numeric order, which the min-relay compares
+            rank_vals[c] = to_words(rnk, 4, bits) + (c,)
         out, st = _relay_best(
             g, rank_vals, hops=2, prefer_min=True, model=model, seed=seed
         )
@@ -452,11 +435,9 @@ def g2mds_logd(g, seed=0, cfg=None, model=None, max_phases=None):
             cand = best[4]
             votes[v] = (cand, cand if cand == v or gateway is None else gateway)
 
-        def vote_factory(ctx):
-            ctx.local = votes[ctx.node]
-            return _VoteProgram(ctx)
-
-        tallies, st = run(g, vote_factory, model, seed=seed)
+        tallies, st = run(
+            g, lambda ctx: _VoteProgram(ctx, votes[ctx.node]), model, seed=seed
+        )
         stats.add(st)
 
         winners = {
@@ -465,11 +446,10 @@ def g2mds_logd(g, seed=0, cfg=None, model=None, max_phases=None):
             if est[c] > 0 and Fraction(tallies[c]) >= est[c] / 8
         }
 
-        def flood_factory(ctx):
-            ctx.local = ctx.node in winners
-            return _CoverFloodProgram(ctx)
-
-        flags, st = run(g, flood_factory, model, seed=seed)
+        flags, st = run(
+            g, lambda ctx: _CoverFloodProgram(ctx, ctx.node in winners),
+            model, seed=seed,
+        )
         stats.add(st)
         newly = 0
         for v in range(n):

@@ -10,16 +10,16 @@ and disseminates the answer.
 import math
 from fractions import Fraction
 
-from .errors import (
-    ConnectivityError,
-    EncodingError,
-    InputError,
-    RoundCapError,
-)
+from .errors import ConnectivityError, EncodingError, InputError, RoundCapError
 from .exact import exact_mvc
 from .graph import VC2, Graph, make_solution
-from .protocols import elect_leader_bfs, pipelined_broadcast, pipelined_convergecast
-from .sim import CLIQUE, CONGEST, Model, NodeProgram, RoundStats, run, word_bits
+from .protocols import (
+    elect_leader_bfs, exchange, pipelined_broadcast, pipelined_convergecast,
+)
+from .sim import (
+    CLIQUE, CONGEST, Model, NodeProgram, RoundStats, from_words, run, to_words,
+    word_bits,
+)
 
 
 def effective_epsilon(eps):
@@ -39,9 +39,10 @@ def effective_epsilon(eps):
 # ---------------------------------------------------------------------------
 
 class _Phase1Program(NodeProgram):
-    def __init__(self, ctx):
+    def __init__(self, ctx, l, i_max):
         super().__init__(ctx)
-        self.l, self.i_max = ctx.local
+        self.awake = True
+        self.l, self.i_max = l, i_max
         self.in_S = False
         self.in_R = True
         self.in_C = True
@@ -50,7 +51,6 @@ class _Phase1Program(NodeProgram):
         self.best_seen = None
         self.fired = False
         self.joined_center = None
-        self.join_iter = None
 
     def _bcast(self, msg):
         return {u: msg for u in self.ctx.neighbors}
@@ -60,12 +60,11 @@ class _Phase1Program(NodeProgram):
         if it >= self.i_max:
             for s in inbox:  # absorb trailing R-status updates
                 self.r_nbrs.discard(s)
-            self.halted = True
+            self.awake = False
             self.output = {
                 "in_S": self.in_S,
                 "fired": self.fired,
                 "joined_center": self.joined_center,
-                "join_iter": self.join_iter,
                 "u_nbrs": frozenset(self.r_nbrs),
             }
             return {}
@@ -98,7 +97,6 @@ class _Phase1Program(NodeProgram):
             self.in_S = True
             self.in_R = False
             self.joined_center = centers[0]
-            self.join_iter = it
             return self._bcast((1,))
         return {}
 
@@ -109,12 +107,9 @@ def phase1_unweighted(g, eps, model=None, seed=0):
     if model is None:
         model = Model(CONGEST)
     i_max = g.n // (l + 1) + 1
-
-    def factory(ctx):
-        ctx.local = (l, i_max)
-        return _Phase1Program(ctx)
-
-    outputs, stats = run(g, factory, model, seed=seed)
+    outputs, stats = run(
+        g, lambda ctx: _Phase1Program(ctx, l, i_max), model, seed=seed
+    )
     S = {v for v in range(g.n) if outputs[v]["in_S"]}
     return S, outputs, stats
 
@@ -123,8 +118,8 @@ def phase1_unweighted(g, eps, model=None, seed=0):
 # Phase II: gather F at a leader, rebuild H = G^2[U], solve, flood back.
 # ---------------------------------------------------------------------------
 
-def build_H_from_F(F, U, n=None, weights=None):
-    """Reconstruct G^2[U] from F = {edges of G touching U}.
+def build_H_from_F(F, U, n, weights=None):
+    """Reconstruct G^2[U] on n vertices from F = {edges of G touching U}.
 
     Returns an n-vertex graph, carrying `weights` when given, whose edges
     are exactly those of G^2 between U vertices; vertices outside U stay
@@ -132,9 +127,6 @@ def build_H_from_F(F, U, n=None, weights=None):
     """
     U = set(U)
     F = {(min(u, v), max(u, v)) for (u, v) in F}
-    if n is None:
-        hi = [x for e in F for x in e] + list(U)
-        n = (max(hi) + 1) if hi else 0
     adj = {}
     edges = set()
     for (u, v) in F:
@@ -178,7 +170,7 @@ def _decode_f(gathered, n, weights=None):
             U_seen.add(a)
         if flag & 2:
             U_seen.add(b)
-    return build_H_from_F(F, U_seen, n=n, weights=weights)
+    return build_H_from_F(F, U_seen, n, weights=weights)
 
 
 def leader_phase2(g, U, model, seed, solve):
@@ -236,22 +228,12 @@ def g2mvc_eps(g, eps, model=None, seed=0):
 # ---------------------------------------------------------------------------
 
 def _encode_weight(w, bits):
-    """Split numerator/denominator into two words each."""
-    top = 1 << (2 * bits)
-    if w.numerator >= top or w.denominator >= top:
-        raise EncodingError(f"weight {w} does not fit 2 words of {bits} bits")
-    mask = (1 << bits) - 1
-    return (
-        w.numerator >> bits,
-        w.numerator & mask,
-        w.denominator >> bits,
-        w.denominator & mask,
-    )
+    """Numerator and denominator, two words each."""
+    return to_words(w.numerator, 2, bits) + to_words(w.denominator, 2, bits)
 
 
 def _decode_weight(words, bits):
-    nh, nl, dh, dl = words
-    return Fraction((nh << bits) | nl, (dh << bits) | dl)
+    return Fraction(from_words(words[:2], bits), from_words(words[2:4], bits))
 
 
 def weight_class_index(w, w_star):
@@ -294,39 +276,21 @@ def class_selectable(g, members, eps):
     return w_max <= total * eps / (1 + eps)
 
 
-class _WeightSetupProgram(NodeProgram):
-    """One round: everyone tells its neighbors its weight; the output maps
-    each neighbor to its weight."""
-
-    def __init__(self, ctx):
-        super().__init__(ctx)
-        self.output = {}
-
-    def step(self, r, inbox):
-        for s, msg in inbox.items():
-            self.output[s] = _decode_weight(msg, self.ctx.word_bits)
-        if r == 0:
-            msg = _encode_weight(self.ctx.local, self.ctx.word_bits)
-            return {u: msg for u in self.ctx.neighbors}
-        return {}
-
-
 class _WeightedPassProgram(NodeProgram):
     """One sequential scan over centers: slot c spans two sweeps.  The
     center announces w_star and a bitmask of selectable classes; selected
     neighbors join S and report leaving R."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, eps, w, nbr_w, in_S, in_R, r_view):
         super().__init__(ctx)
-        st = ctx.local
-        self.eps = st["eps"]
-        self.w = st["w"]
-        self.nbr_w = st["nbr_w"]
-        self.in_S = st["in_S"]
-        self.in_R = st["in_R"]
-        self.r_view = set(st["r_view"])
+        self.awake = True
+        self.eps = eps
+        self.w = w
+        self.nbr_w = nbr_w
+        self.in_S = in_S
+        self.in_R = in_R
+        self.r_view = set(r_view)
         self.selected_any = False
-        self.joined_center = None
 
     def _bcast(self, msg):
         return {u: msg for u in self.ctx.neighbors}
@@ -337,13 +301,12 @@ class _WeightedPassProgram(NodeProgram):
             for s in inbox:
                 self.r_view.discard(s)
             if r == 2 * self.ctx.n:
-                self.halted = True
+                self.awake = False
                 self.output = {
                     "in_S": self.in_S,
                     "in_R": self.in_R,
                     "r_view": frozenset(self.r_view),
                     "selected_any": self.selected_any,
-                    "joined_center": self.joined_center,
                 }
                 return {}
             c = r // 2
@@ -363,11 +326,8 @@ class _WeightedPassProgram(NodeProgram):
                     mask |= 1 << i
             if mask == 0:
                 return {}
-            mask_words = []
-            while mask:
-                mask_words.append(mask & ((1 << bits) - 1))
-                mask >>= bits
-            msg = _encode_weight(w_star, bits) + tuple(mask_words)
+            mask_words = to_words(mask, -(-mask.bit_length() // bits), bits)
+            msg = _encode_weight(w_star, bits) + mask_words
             if len(msg) > self.ctx.model.bandwidth_words:
                 raise EncodingError(f"class mask for center {c} exceeds bandwidth")
             return self._bcast(msg)
@@ -375,15 +335,12 @@ class _WeightedPassProgram(NodeProgram):
         c = r // 2
         if c in inbox and self.in_R:
             msg = inbox[c]
-            w_star = _decode_weight(msg[:4], bits)
-            mask = 0
-            for k, word in enumerate(msg[4:]):
-                mask |= word << (k * bits)
+            w_star = _decode_weight(msg, bits)
+            mask = from_words(msg[4:], bits)
             if mask & (1 << weight_class_index(self.w, w_star)):
                 self.in_S = True
                 self.in_R = False
                 self.selected_any = True
-                self.joined_center = c
                 return self._bcast((1,))
         return {}
 
@@ -398,24 +355,15 @@ def weighted_phase1(g, eps, model=None, seed=0):
     if model is None:
         model = Model(CONGEST)
     bits = word_bits(g.n)
-    for v in range(g.n):
-        _encode_weight(g.weight(v), bits)  # fail early if not encodable
-
-    def setup_factory(ctx):
-        ctx.local = g.weight(ctx.node)
-        return _WeightSetupProgram(ctx)
-
-    nbr_weights, stats = run(
-        g, setup_factory, model, seed=seed, stop_on_quiescence=True
-    )
+    msgs = [_encode_weight(g.weight(v), bits) for v in range(g.n)]
+    heard, stats = exchange(g, msgs, model, seed=seed)
     states = []
     for v in range(g.n):
         zero = g.weight(v) == 0
         states.append(
             {
-                "eps": eps,
                 "w": g.weight(v),
-                "nbr_w": nbr_weights[v],
+                "nbr_w": {u: _decode_weight(m, bits) for u, m in heard[v].items()},
                 "in_S": zero,
                 "in_R": not zero,
                 "r_view": {u for u in g.adj[v] if g.weight(u) > 0},
@@ -424,11 +372,12 @@ def weighted_phase1(g, eps, model=None, seed=0):
 
     # each productive pass moves at least one vertex into S
     for _pass in range(g.n + 1):
-        def pass_factory(ctx):
-            ctx.local = states[ctx.node]
-            return _WeightedPassProgram(ctx)
-
-        outputs, st = run(g, pass_factory, model, seed=seed)
+        outputs, st = run(
+            g,
+            lambda ctx: _WeightedPassProgram(ctx, eps, **states[ctx.node]),
+            model,
+            seed=seed,
+        )
         stats.add(st)
         for v, o in enumerate(outputs):
             states[v].update(
@@ -474,9 +423,9 @@ _STAGE_GATHER = 1
 class _VotingProgram(NodeProgram):
     RANK_WORDS = 4
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, eps, max_phases):
         super().__init__(ctx)
-        eps, max_phases = ctx.local
+        self.awake = True
         self.threshold = Fraction(8, 1) / eps + 2
         self.max_phases = max_phases
         self.in_R = True
@@ -488,15 +437,6 @@ class _VotingProgram(NodeProgram):
         self.is_cand = False
         self.declared_dr = 0
         self.queue = []
-
-    def _rank_encode(self, rnk):
-        bits = self.ctx.word_bits
-        mask = (1 << bits) - 1
-        return tuple((rnk >> (bits * k)) & mask for k in range(self.RANK_WORDS))
-
-    def _rank_decode(self, words):
-        bits = self.ctx.word_bits
-        return sum(w << (bits * k) for k, w in enumerate(words))
 
     def step(self, r, inbox):
         if self.stage == _STAGE_VOTE:
@@ -516,11 +456,12 @@ class _VotingProgram(NodeProgram):
             self.is_cand = len(self.r_nbrs) > self.threshold
             if self.is_cand:
                 self.declared_dr = len(self.r_nbrs)
-                msg = self._rank_encode(ctx.rng.randrange(max(1, ctx.n ** 4)))
+                rank = ctx.rng.randrange(max(1, ctx.n ** 4))
+                msg = to_words(rank, self.RANK_WORDS, ctx.word_bits)
                 return {u: msg for u in range(ctx.n) if u != ctx.node}
             return {}
         if s == 1:
-            ranks = {snd: self._rank_decode(m) for snd, m in inbox.items()}
+            ranks = {snd: from_words(m, ctx.word_bits) for snd, m in inbox.items()}
             if not ranks and not self.is_cand:
                 self.stage = _STAGE_GATHER
                 self.sweep = 0
@@ -568,7 +509,7 @@ class _VotingProgram(NodeProgram):
                 H = _decode_f(self.collected, ctx.n)
                 members = exact_mvc(H).members
                 self.in_cover = self.in_cover or (0 in members)
-                self.halted = True
+                self.awake = False
                 self.output = {"in_cover": self.in_cover, "phases": self.phase}
                 return {
                     u: ((1,) if u in members else (0,))
@@ -578,7 +519,7 @@ class _VotingProgram(NodeProgram):
             return {}
         if 0 in inbox:  # the leader's verdict
             self.in_cover = self.in_cover or inbox[0] == (1,)
-            self.halted = True
+            self.awake = False
             self.output = {"in_cover": self.in_cover, "phases": self.phase}
             return {}
         if self.queue:
@@ -601,10 +542,8 @@ def g2mvc_cc_voting(g, eps, seed=0, model=None):
         raise InputError("g2mvc_cc_voting runs in the CLIQUE model")
     max_phases = 8 * max(1, math.ceil(math.log2(g.n + 1))) + 16
 
-    def factory(ctx):
-        ctx.local = (eps, max_phases)
-        return _VotingProgram(ctx)
-
-    outputs, stats = run(g, factory, model, seed=seed)
+    outputs, stats = run(
+        g, lambda ctx: _VotingProgram(ctx, eps, max_phases), model, seed=seed
+    )
     members = {v for v, o in enumerate(outputs) if o["in_cover"]}
     return make_solution(g, VC2, members), stats

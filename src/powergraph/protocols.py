@@ -1,8 +1,33 @@
-"""Reusable distributed building blocks: leader election / BFS tree,
-pipelined convergecast toward the root, and pipelined broadcast from it."""
+"""Reusable distributed building blocks: a one-round neighbor exchange,
+leader election / BFS tree, pipelined convergecast toward the root, and
+pipelined broadcast from it."""
 
 from .errors import ConnectivityError, EncodingError, InputError
 from .sim import CLIQUE, CONGEST, Model, NodeProgram, run
+
+
+class _ExchangeProgram(NodeProgram):
+    """Send one message to every neighbor in sweep 0; the output maps each
+    neighbor to the message it sent."""
+
+    def __init__(self, ctx, msg):
+        super().__init__(ctx)
+        self.msg = msg
+        self.output = {}
+
+    def step(self, r, inbox):
+        self.output.update(inbox)
+        if r == 0:
+            return {u: self.msg for u in self.ctx.neighbors}
+        return {}
+
+
+def exchange(g, msgs, model, seed=0):
+    """One round in which every node v tells its neighbors msgs[v].
+
+    Returns (per-node {neighbor: message}, RoundStats).
+    """
+    return run(g, lambda ctx: _ExchangeProgram(ctx, msgs[ctx.node]), model, seed=seed)
 
 
 class _BfsFloodProgram(NodeProgram):
@@ -36,9 +61,7 @@ def elect_leader_bfs(g, model=None, seed=0):
         raise ConnectivityError("leader election requires a connected graph")
     if model is None:
         model = Model(CONGEST)
-    outputs, stats = run(
-        g, _BfsFloodProgram, model, seed=seed, stop_on_quiescence=True
-    )
+    outputs, stats = run(g, _BfsFloodProgram, model, seed=seed)
     leaders = {o[0] for o in outputs}
     if leaders != {0} and g.n > 0:
         raise ConnectivityError("flood did not converge to a single leader")
@@ -50,12 +73,11 @@ def elect_leader_bfs(g, model=None, seed=0):
 
 class _ConvergecastProgram(NodeProgram):
     """Ship one item per round toward the root: along tree edges under
-    CONGEST, straight to the root under CLIQUE.  The root's output is the
-    list of items it holds."""
+    CONGEST, straight to the root under CLIQUE.  A node stays awake while
+    it has items to ship.  The root's output is the list of items it holds."""
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, parent, items):
         super().__init__(ctx)
-        parent, items = ctx.local
         self.parent = parent
         if parent is None:
             self.output = list(items)
@@ -69,7 +91,9 @@ class _ConvergecastProgram(NodeProgram):
             else:
                 self.queue.append(inbox[sender])
         if self.parent is not None and self.queue:
-            return {self.parent: self.queue.pop(0)}
+            msg = self.queue.pop(0)
+            self.awake = bool(self.queue)
+            return {self.parent: msg}
         return {}
 
 
@@ -96,10 +120,9 @@ def pipelined_convergecast(g, tree, items, model, seed=0):
             p = parent.get(ctx.node)
             if p is None:
                 raise InputError(f"node {ctx.node} has no parent in the tree")
-        ctx.local = (p, items[ctx.node])
-        return _ConvergecastProgram(ctx)
+        return _ConvergecastProgram(ctx, p, items[ctx.node])
 
-    outputs, stats = run(g, factory, model, seed=seed, stop_on_quiescence=True)
+    outputs, stats = run(g, factory, model, seed=seed)
     return sorted(outputs[root]), stats
 
 
@@ -107,12 +130,12 @@ class _BroadcastProgram(NodeProgram):
     """Pipelined tree broadcast of a list of word tuples from the root.
 
     The first message announces how many items follow; the output is the
-    list of items received so far.
+    list of items received so far.  A node stays awake while it has items
+    to forward.
     """
 
-    def __init__(self, ctx):
+    def __init__(self, ctx, children, payload):
         super().__init__(ctx)
-        children, payload = ctx.local
         self.children = children
         self.expected = None
         self.output = []
@@ -132,6 +155,7 @@ class _BroadcastProgram(NodeProgram):
             self.queue.append(msg)
         if self.queue and self.children:
             msg = self.queue.pop(0)
+            self.awake = bool(self.queue)
             return {c: msg for c in self.children}
         self.queue = []
         return {}
@@ -148,8 +172,9 @@ def pipelined_broadcast(g, tree, payload, model, seed=0):
         c.sort()
 
     def factory(ctx):
-        ctx.local = (children[ctx.node], payload if ctx.node == root else None)
-        return _BroadcastProgram(ctx)
+        return _BroadcastProgram(
+            ctx, children[ctx.node], payload if ctx.node == root else None
+        )
 
-    outputs, stats = run(g, factory, model, seed=seed, stop_on_quiescence=True)
+    outputs, stats = run(g, factory, model, seed=seed)
     return [sorted(o) for o in outputs], stats

@@ -6,10 +6,12 @@ delivers messages only at round boundaries, so execution order within a
 round cannot matter, and all randomness flows from per-node streams keyed
 by (seed, node id).
 
-A run ends by one of two rules.  By default it ends once every node has
-set `halted`.  With `stop_on_quiescence`, it also ends after the first
-sweep in which no node sends; that silent sweep is not counted as a round.
-Either way the engine then reads each node's `output`.
+One rule ends a run.  Every node is stepped in sweep 0; after that a node
+is stepped only when it has mail or is `awake`.  The run ends after a
+sweep in which no node sends and none stays awake, and the engine then
+reads each node's `output`.  A sweep counts as a round if a node sent in
+it or was awake for it, and so do all sweeps before it; the last sweep,
+silent by the rule above, is thus a round only if a node was awake for it.
 """
 
 import math
@@ -64,37 +66,66 @@ def word_bits(n):
     return max(1, math.ceil(math.log2(n + 1))) if n > 0 else 1
 
 
+def to_words(x, count, bits):
+    """x as `count` words of `bits` bits, most significant first, so that
+    tuple order is numeric order."""
+    if not 0 <= x < 1 << (count * bits):
+        raise EncodingError(f"{x} does not fit {count} words of {bits} bits")
+    mask = (1 << bits) - 1
+    return tuple((x >> (bits * k)) & mask for k in range(count - 1, -1, -1))
+
+
+def from_words(words, bits):
+    """Inverse of to_words."""
+    x = 0
+    for w in words:
+        x = (x << bits) | w
+    return x
+
+
+def node_rng(seed, v, salt=0):
+    """The random stream of node v under `seed`; a nonzero `salt` keys
+    another stream for the same node."""
+    return random.Random((int(seed) << 32) ^ salt ^ v)
+
+
 class NodeContext:
     """Read-only per-node environment handed to NodePrograms."""
 
-    __slots__ = ("node", "n", "neighbors", "model", "word_bits", "rng", "local")
+    __slots__ = ("node", "n", "neighbors", "model", "word_bits", "seed", "_rng")
 
-    def __init__(self, node, n, neighbors, model, bits, rng, local):
+    def __init__(self, node, n, neighbors, model, bits, seed):
         self.node = node
         self.n = n
         self.neighbors = neighbors
         self.model = model
         self.word_bits = bits
-        self.rng = rng
-        self.local = local
+        self.seed = seed
+        self._rng = None
 
     @property
-    def degree(self):
-        return len(self.neighbors)
+    def rng(self):
+        """This node's random stream, made on first use."""
+        if self._rng is None:
+            self._rng = node_rng(self.seed, self.node)
+        return self._rng
 
 
 class NodeProgram:
-    """Base class: subclasses override step() and keep halted/output set.
+    """Base class: subclasses take their inputs as constructor arguments,
+    override step() and keep `output` current.
 
     step() returns this sweep's outbox, {destination: word tuple}.  A node
-    that sets `halted` is not stepped again.  `output` is read when the run
-    ends, by either stop rule, so a program run under `stop_on_quiescence`
-    keeps it current as it goes: such a run can end after any silent sweep.
+    is stepped in sweep 0, whenever it has mail, and in every sweep that
+    follows one it ends with `awake` set.  The run ends after a sweep in
+    which no node sends and none stays awake, so a program that must act
+    on a schedule stays awake until its last step, and one that holds
+    work, such as a send queue, stays awake while it does.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self.halted = False
+        self.awake = False
         self.output = None
 
     def step(self, round_index, inbox):
@@ -114,9 +145,8 @@ def default_round_cap(n):
     return cap
 
 
-def run(g, factory, model, seed=0, round_cap=None, stop_on_quiescence=False):
-    """Execute one NodeProgram per vertex until all halt, or, with
-    stop_on_quiescence, until a sweep in which no node sends.
+def run(g, factory, model, seed=0, round_cap=None):
+    """Execute one NodeProgram per vertex until the stop rule above holds.
 
     factory(ctx) -> NodeProgram.  Returns (list of outputs, RoundStats).
     """
@@ -124,30 +154,29 @@ def run(g, factory, model, seed=0, round_cap=None, stop_on_quiescence=False):
     bits = word_bits(n)
     if round_cap is None:
         round_cap = default_round_cap(n)
-    programs = []
-    for v in range(n):
-        rng = random.Random((int(seed) << 32) ^ v)  # stream keyed by (seed, node)
-        ctx = NodeContext(v, n, g.adj[v], model, bits, rng, None)
-        programs.append(factory(ctx))
+    programs = [
+        factory(NodeContext(v, n, g.adj[v], model, bits, seed)) for v in range(n)
+    ]
     limit_words = model.bandwidth_words
+    congest = model.variant == CONGEST
     nbr_sets = [set(a) for a in g.adj]
 
     stats = RoundStats()
     inboxes = [{} for _ in range(n)]
+    order = range(n)  # sweep 0 steps every node
+    was_awake = any(p.awake for p in programs)
+    sweep = 0
     while True:
-        if all(p.halted for p in programs):
-            break
-        if stats.rounds >= round_cap:
+        if sweep >= round_cap:
             raise RoundCapError(f"no termination within {round_cap} rounds")
         next_inboxes = [{} for _ in range(n)]
         sent_any = False
-        for v in range(n):
+        awake = []
+        for v in order:
             p = programs[v]
-            if p.halted:
-                continue
-            outbox = p.step(stats.rounds, inboxes[v]) or {}
+            outbox = p.step(sweep, inboxes[v]) or {}
             for dest, msg in outbox.items():
-                if model.variant == CONGEST:
+                if congest:
                     if dest not in nbr_sets[v]:
                         raise InputError(
                             f"node {v} sent to non-neighbor {dest} under CONGEST"
@@ -162,15 +191,23 @@ def run(g, factory, model, seed=0, round_cap=None, stop_on_quiescence=False):
                             f"word {w!r} from node {v} does not fit {bits} bits"
                         )
                 if len(msg) > limit_words:
-                    raise BandwidthError(
-                        v, stats.rounds, len(msg) * bits, limit_words * bits
-                    )
+                    raise BandwidthError(v, sweep, len(msg) * bits, limit_words * bits)
                 next_inboxes[dest][v] = msg
                 stats.messages += 1
                 stats.max_message_bits = max(stats.max_message_bits, len(msg) * bits)
                 sent_any = True
-        if stop_on_quiescence and not sent_any:
-            break  # the silent sweep exchanged nothing: not a round
-        stats.rounds += 1
+            if p.awake:
+                awake.append(v)
+        if sent_any or was_awake:
+            stats.rounds = sweep + 1
+        if not (sent_any or awake):
+            break
+        sweep += 1
         inboxes = next_inboxes
+        was_awake = bool(awake)
+        if len(awake) == n:
+            order = range(n)
+        else:
+            awake = set(awake)
+            order = [v for v in range(n) if inboxes[v] or v in awake]
     return [p.output for p in programs], stats

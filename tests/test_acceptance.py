@@ -13,6 +13,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -356,8 +357,8 @@ def test_11_cli_determinism(tmp_path):
                       "--x", "5", "--y", "a", "--seed", "1",
                       "--output", target)
         assert code == 0
-    assert open(lb1).read() == open(lb2).read()
-    assert open(lb1 + ".json").read() == open(lb2 + ".json").read()
+    assert Path(lb1).read_text() == Path(lb2).read_text()
+    assert Path(lb1 + ".json").read_text() == Path(lb2 + ".json").read_text()
     checked += 1
     gate(11, "byte-identical repeated CLI invocations", True,
          f"{checked} invocation pairs compared")

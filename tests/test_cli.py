@@ -2,6 +2,7 @@
 
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -311,8 +312,8 @@ class TestGenLb:
                 "--x", "9", "--y", "6", "--seed", "4")
         run_cli(capsys, *argv, "--output", f1)
         run_cli(capsys, *argv, "--output", f2)
-        assert open(f1).read() == open(f2).read()
-        assert open(f1 + ".json").read() == open(f2 + ".json").read()
+        assert Path(f1).read_text() == Path(f2).read_text()
+        assert Path(f1 + ".json").read_text() == Path(f2 + ".json").read_text()
 
     def test_requires_output(self, capsys):
         code, out = run_cli(capsys, "gen", "lb", "--family", "mvc-base",

@@ -78,6 +78,37 @@ class TestExactMvc:
         g = Graph(9, edges)
         assert exact_mvc(g).members == exact_mvc(g).members
 
+    def test_disjoint_union_solved_per_component(self):
+        # each part is under the cap, their union is over it
+        rng = random.Random(31)
+        parts = [
+            Graph(30, random_connected_gnp(30, 0.12, seed=4100)),
+            cycle(25),
+            Graph(20, random_connected_gnp(20, 0.2, seed=4101),
+                  weights={v: rng.randint(1, 5) for v in range(20)}),
+        ]
+        edges, weights, offset = [], {}, 0
+        for part in parts:
+            edges += [(u + offset, v + offset) for u, v in part.edges()]
+            weights.update({v + offset: part.weight(v) for v in range(part.n)})
+            offset += part.n
+        union = Graph(offset, edges, weights=weights)
+        assert offset > 64
+        sol = exact_mvc(union)
+        assert is_feasible(union, VC1, sol.members)
+        assert sol.value == sum(exact_mvc(part).value for part in parts)
+        offset, expected = 0, set()
+        for part in parts:
+            expected |= {v + offset for v in exact_mvc(part).members}
+            offset += part.n
+        assert sol.members == expected
+
+    def test_cap_error_names_the_component(self):
+        g = Graph(80, [(v, v + 1) for v in range(69)] + [(70, 71)])
+        with pytest.raises(SizeCapError, match="component of 70 vertices"):
+            exact_mvc(g)
+        assert exact_mvc(g, cap=70).value == 35 + 1
+
 
 class TestExactMds:
     def test_star_center(self):

@@ -126,6 +126,20 @@ class TestG2MvcEps:
         assert sol.members == set(range(6))
         assert stats.rounds == 0
 
+    def test_sparse_graph_of_a_thousand_vertices(self):
+        # a random tree plus random edges, average degree 3: H = G^2[U]
+        # has over 64 active vertices, in components of a few dozen
+        rng = random.Random(1000)
+        n = 1000
+        edges = {(rng.randrange(i), i) for i in range(1, n)}
+        while len(edges) < 3 * n // 2:
+            u, v = rng.randrange(n), rng.randrange(n)
+            if u != v:
+                edges.add((min(u, v), max(u, v)))
+        g = Graph(n, sorted(edges))
+        sol, _ = g2mvc_eps(g, Fraction(1, 2), seed=1)
+        assert is_feasible(g, VC2, sol.members)
+
     def test_ratio_on_random_graphs(self):
         rng = random.Random(31)
         for trial in range(15):

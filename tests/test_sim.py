@@ -12,24 +12,33 @@ from powergraph.mds_distributed import estimate_2hop_counts, g2mds_logd
 from powergraph.mvc_distributed import weighted_phase1
 from powergraph.protocols import (
     elect_leader_bfs,
+    exchange,
     pipelined_broadcast,
     pipelined_convergecast,
 )
-from powergraph.sim import CLIQUE, CONGEST, Model, NodeProgram, run, word_bits
+from powergraph.sim import (
+    CLIQUE,
+    CONGEST,
+    Model,
+    NodeProgram,
+    from_words,
+    run,
+    to_words,
+    word_bits,
+)
 
 from test_graph import complete, cycle, path, star
 
 
 class BroadcastOnce(NodeProgram):
     def step(self, r, inbox):
-        self.halted = True
-        return {u: (self.ctx.node,) for u in self.ctx.neighbors}
+        if r == 0:
+            return {u: (self.ctx.node,) for u in self.ctx.neighbors}
+        return {}
 
 
 class HaltImmediately(NodeProgram):
-    def __init__(self, ctx):
-        super().__init__(ctx)
-        self.halted = True
+    """Never awake and never sends: only sweep 0 steps it."""
 
     def step(self, r, inbox):
         return {}
@@ -38,11 +47,15 @@ class HaltImmediately(NodeProgram):
 class EchoTwoRounds(NodeProgram):
     """Broadcast own id, then record what was heard."""
 
+    def __init__(self, ctx):
+        super().__init__(ctx)
+        self.awake = True
+
     def step(self, r, inbox):
         if r == 0:
             return {u: (self.ctx.node,) for u in self.ctx.neighbors}
         self.output = sorted(msg[0] for msg in inbox.values())
-        self.halted = True
+        self.awake = False
         return {}
 
 
@@ -71,7 +84,6 @@ class TestRun:
     def test_congest_rejects_non_neighbor_sends(self):
         class BadSend(NodeProgram):
             def step(self, r, inbox):
-                self.halted = True
                 if self.ctx.node == 0:
                     return {2: (0,)}
                 return {}
@@ -82,7 +94,6 @@ class TestRun:
     def test_clique_allows_any_destination(self):
         class FarSend(NodeProgram):
             def step(self, r, inbox):
-                self.halted = True
                 if self.ctx.node == 0:
                     return {2: (0,)}
                 return {}
@@ -93,7 +104,6 @@ class TestRun:
     def test_oversize_word_rejected(self):
         class BigWord(NodeProgram):
             def step(self, r, inbox):
-                self.halted = True
                 return {u: (1 << 30,) for u in self.ctx.neighbors}
 
         with pytest.raises(EncodingError):
@@ -102,6 +112,7 @@ class TestRun:
     def test_round_cap(self):
         class Forever(NodeProgram):
             def step(self, r, inbox):
+                self.awake = True
                 return {}
 
         with pytest.raises(RoundCapError):
@@ -110,6 +121,7 @@ class TestRun:
     def test_round_cap_env_override(self, monkeypatch):
         class Forever(NodeProgram):
             def step(self, r, inbox):
+                self.awake = True
                 return {}
 
         monkeypatch.setenv("POWERGRAPH_ROUND_CAP", "5")
@@ -120,7 +132,6 @@ class TestRun:
         class RandomReport(NodeProgram):
             def step(self, r, inbox):
                 self.output = self.ctx.rng.randrange(1 << 20)
-                self.halted = True
                 return {}
 
         out1, _ = run(path(4), RandomReport, Model(CONGEST), seed=9)
@@ -133,6 +144,46 @@ class TestRun:
         assert word_bits(1) == 1
         assert word_bits(3) == 2
         assert word_bits(200) == 8
+
+
+class TestWake:
+    def test_sleeping_nodes_step_only_with_mail(self):
+        class Relay(NodeProgram):
+            """Node 0 starts a message that each node passes up the path."""
+
+            def __init__(self, ctx):
+                super().__init__(ctx)
+                self.output = []
+
+            def step(self, r, inbox):
+                self.output.append(r)
+                if inbox or (r == 0 and self.ctx.node == 0):
+                    return {u: (1,) for u in self.ctx.neighbors if u > self.ctx.node}
+                return {}
+
+        outputs, stats = run(path(4), Relay, Model(CONGEST))
+        assert outputs == [[0], [0, 1], [0, 2], [0, 3]]
+        assert stats.rounds == 3  # the last sweep only delivered mail
+
+
+class TestWords:
+    def test_round_trip_most_significant_first(self):
+        for x in (0, 1, 31, 32, 1000, (1 << 20) - 1):
+            assert from_words(to_words(x, 4, 5), 5) == x
+        assert to_words(33, 2, 5) == (1, 1)
+        assert to_words(31, 2, 5) < to_words(32, 2, 5)
+
+    def test_overflow_rejected(self):
+        with pytest.raises(EncodingError):
+            to_words(1 << 10, 2, 5)
+
+
+class TestExchange:
+    def test_one_round_to_every_neighbor(self):
+        heard, stats = exchange(path(3), [(1,), (2, 3), (0,)], Model(CONGEST))
+        assert heard == [{1: (2, 3)}, {0: (1,), 2: (0,)}, {1: (2, 3)}]
+        assert stats.rounds == 1
+        assert stats.messages == 4
 
 
 class TestLeaderBfs:
@@ -220,8 +271,7 @@ class TestQuiescence:
                 self.output = r
                 return {}
 
-        outputs, stats = run(path(3), Silent, Model(CONGEST),
-                             stop_on_quiescence=True)
+        outputs, stats = run(path(3), Silent, Model(CONGEST))
         assert outputs == [0, 0, 0]
         assert stats.rounds == 0
 
