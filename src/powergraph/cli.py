@@ -28,7 +28,7 @@ from .lowerbound import (
     gen_mwvc_square,
 )
 from .mds_distributed import g2mds_logd
-from .mvc_centralized import g2mvc_53, g2mvc_hybrid
+from .mvc_centralized import g2mvc_hybrid, vc_53_on_square
 from .mvc_distributed import (
     g2mvc_cc_voting,
     g2mvc_eps,
@@ -75,14 +75,25 @@ class _Parser(argparse.ArgumentParser):
         raise InputError(message)
 
 
-def _parse_eps(text):
+def _parse_fraction(text, label):
     try:
-        eps = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError):
-        raise InputError(f"eps must be a rational a/b, got {text!r}")
+        raise InputError(f"{label} must be a rational a/b, got {text!r}")
+
+
+def _parse_eps(text):
+    eps = _parse_fraction(text, "eps")
     if eps <= 0:
         raise InputError("eps must be positive")
     return eps
+
+
+def _parse_p(text):
+    p = _parse_fraction(text, "p")
+    if not 0 <= p <= 1:
+        raise InputError(f"p must lie in [0, 1], got {text!r}")
+    return p
 
 
 def _parse_hex_bits(text, length, label):
@@ -121,7 +132,7 @@ def _cmd_gen_random(args):
         raise InputError("--n must be positive")
     rng = random.Random(args.seed)
     if args.model == "gnp":
-        g = _gen_gnp(args.n, float(Fraction(args.p)), rng)
+        g = _gen_gnp(args.n, float(_parse_p(args.p)), rng)
     else:
         g = _gen_tree(args.n, rng)
     if args.weights is not None:
@@ -175,8 +186,10 @@ def _execute(algo, g, sq, eps, seed, model_name):
         if algo == "g2mvc-trivial":
             return g2mvc_trivial(g), RoundStats()
         if algo == "g2mvc-53":
-            sol, _trace = g2mvc_53(g)
-            return sol, RoundStats()
+            if g.weights is not None:
+                raise InputError("g2mvc_53 is unweighted")
+            cover, _trace = vc_53_on_square(sq)
+            return make_solution(g, VC2, cover), RoundStats()
         if algo == "exact-mvc2":
             return make_solution(g, VC2, exact_mvc(sq).members), RoundStats()
         return make_solution(g, DS2, exact_mds(sq).members), RoundStats()
@@ -244,8 +257,11 @@ def _cmd_run(args):
 
 def _cmd_verify(args):
     g = read_graph(args.input)
-    with open(args.solution, "r", encoding="utf-8") as fh:
-        tokens = fh.read().split()
+    try:
+        with open(args.solution, "r", encoding="utf-8") as fh:
+            tokens = fh.read().split()
+    except UnicodeDecodeError:
+        raise InputError("solution file is not UTF-8 text")
     try:
         members = sorted({int(t) for t in tokens})
     except ValueError:

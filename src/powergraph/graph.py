@@ -66,9 +66,6 @@ class Graph:
     def degree(self, v):
         return len(self.adj[v])
 
-    def neighbors(self, v):
-        return self.adj[v]
-
     def weight(self, v):
         if self.weights is None:
             return Fraction(1)

@@ -18,8 +18,11 @@ from .graph import Graph
 
 
 def read_graph(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError:
+        raise ParseError("graph file is not UTF-8 text")
     n = None
     m = None
     weighted = False

@@ -7,6 +7,10 @@ when the strings intersect.  The base families pose the problem on the
 graph itself; the square families rebuild them out of path gadgets so that
 the same question becomes a cover/domination problem on the square graph.
 
+A vertex's side is fixed when it is created.  A gadget hung on existing
+vertices (its anchors) takes side A when all its anchors are on side A,
+and side B otherwise.
+
 Gadget bookkeeping (which vertices form which path gadget, and what the
 gadget is attached to) is kept on the instance so covers can be rewritten
 into gadget-normal form and so instances can be serialized with their
@@ -45,18 +49,19 @@ def disjoint(x, y):
 
 
 class _Build:
-    """Incremental builder mapping vertex names to ids."""
+    """Incremental builder mapping vertex names to ids and sides."""
 
     def __init__(self):
         self.names = []
         self.ids = {}
+        self.part_a = set()
         self.edge_list = []
         self.edge_set = set()
         self.weights = {}
         self.x_edges = []
         self.y_edges = []
 
-    def vertex(self, name, weight=None):
+    def vertex(self, name, weight=None, side_a=False):
         if name in self.ids:
             raise InputError(f"duplicate vertex name {name!r}")
         vid = len(self.names)
@@ -64,7 +69,12 @@ class _Build:
         self.ids[name] = vid
         if weight is not None:
             self.weights[vid] = weight
+        if side_a:
+            self.part_a.add(vid)
         return vid
+
+    def on_side_a(self, names):
+        return all(self.ids[name] in self.part_a for name in names)
 
     def edge(self, a, b, tag=None):
         u, v = self.ids[a], self.ids[b]
@@ -78,12 +88,18 @@ class _Build:
         elif tag == "y":
             self.y_edges.append(key)
 
-    def graph(self, weighted):
+    def instance(self, family, params, x, y, cut_cap, thresholds,
+                 gadgets=None):
+        """The finished instance; weighted iff some vertex got a weight."""
         n = len(self.names)
         weights = None
-        if weighted:
+        if self.weights:
             weights = {v: self.weights.get(v, 1) for v in range(n)}
-        return Graph(n, self.edge_list, weights=weights)
+        return LowerBoundInstance(
+            family, params, x, y, Graph(n, self.edge_list, weights=weights),
+            self.names, self.part_a, cut_cap, thresholds, gadgets or {},
+            self.x_edges, self.y_edges,
+        )
 
 
 class LowerBoundInstance:
@@ -137,18 +153,40 @@ class LowerBoundInstance:
         }
 
 
-def _check_k(k):
-    if k < 2 or k & (k - 1):
-        raise InputError(f"k must be a power of 2 and at least 2, got {k}")
-    return k.bit_length() - 1
-
-
 def _bit(i, j):
     """Bit j (1-based) of the binary representation of i - 1."""
     return (i - 1) >> (j - 1) & 1
 
 
 _ROW_SETS = ((1, "a1", "b1"), (2, "a2", "b2"))
+
+
+def _k_family(k, x, y, with_u):
+    """Check k, parse x and y, and start a builder with the base vertices:
+    rows a1, a2, b1, b2 and the t/f (and u) bit gadgets of both row sets,
+    the a rows and A gadgets on side A.  Returns (builder, log2 k, x, y)."""
+    if k < 2 or k & (k - 1):
+        raise InputError(f"k must be a power of 2 and at least 2, got {k}")
+    log_k = k.bit_length() - 1
+    x = parse_bits(x, k * k, "x")
+    y = parse_bits(y, k * k, "y")
+    b = _Build()
+    for row in ("a1", "a2", "b1", "b2"):
+        for i in range(1, k + 1):
+            b.vertex(f"{row}_{i}", side_a=row[0] == "a")
+    letters = "tfu" if with_u else "tf"
+    for s in (1, 2):
+        for j in range(1, log_k + 1):
+            for side in "AB":
+                for letter in letters:
+                    b.vertex(f"{letter}{side}{s}_{j}", side_a=side == "A")
+    return b, log_k, x, y
+
+
+def _pairs(k, bits, keep):
+    """Index pairs (i, j), 1-based, whose bit (i-1)*k + (j-1) equals keep."""
+    return [(i, j) for i in range(1, k + 1) for j in range(1, k + 1)
+            if bits[(i - 1) * k + (j - 1)] == keep]
 
 
 def _mvc_fixed_edges(k):
@@ -199,95 +237,60 @@ def _mds_fixed_edges(k):
     return bit_edges
 
 
-def _base_vertices(b, k, with_u):
-    log_k = k.bit_length() - 1
-    for row in ("a1", "a2", "b1", "b2"):
-        for i in range(1, k + 1):
-            b.vertex(f"{row}_{i}")
-    for s, _, _ in _ROW_SETS:
-        for j in range(1, log_k + 1):
-            for side in ("A", "B"):
-                b.vertex(f"t{side}{s}_{j}")
-                b.vertex(f"f{side}{s}_{j}")
-                if with_u:
-                    b.vertex(f"u{side}{s}_{j}")
+def _add_zero_vertex(b, gadgets, name, anchors):
+    """A zero-weight single-vertex gadget joined to every anchor."""
+    vid = b.vertex(name, weight=0, side_a=b.on_side_a(anchors))
+    for a in anchors:
+        b.edge(name, a)
+    gadgets[name] = {"kind": "vertex",
+                     "verts": [vid],
+                     "anchors": [b.ids[a] for a in anchors]}
 
 
-def _base_part_a(b, k, with_u):
-    log_k = k.bit_length() - 1
-    names = [f"a1_{i}" for i in range(1, k + 1)]
-    names += [f"a2_{i}" for i in range(1, k + 1)]
-    for s in (1, 2):
-        for j in range(1, log_k + 1):
-            names += [f"tA{s}_{j}", f"fA{s}_{j}"]
-            if with_u:
-                names.append(f"uA{s}_{j}")
-    return {b.ids[name] for name in names}
-
-
-def _variable_pairs(k, x, y, keep_bit):
-    """Row-to-row pairs selected by the bit strings (tagged x or y)."""
-    pairs = []
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if x[(i - 1) * k + (j - 1)] == keep_bit:
-                pairs.append((f"a1_{i}", f"a2_{j}", "x"))
-            if y[(i - 1) * k + (j - 1)] == keep_bit:
-                pairs.append((f"b1_{i}", f"b2_{j}", "y"))
-    return pairs
+def _add_path_gadget(b, gadgets, name, length, anchors):
+    """A path of `length` new vertices whose head is joined to every
+    anchor."""
+    side_a = b.on_side_a(anchors)
+    verts = [b.vertex(f"{name}_{p}", side_a=side_a)
+             for p in range(1, length + 1)]
+    for p in range(1, length):
+        b.edge(f"{name}_{p}", f"{name}_{p + 1}")
+    for a in anchors:
+        b.edge(f"{name}_1", a)
+    gadgets[name] = {"kind": "path",
+                     "verts": verts,
+                     "anchors": [b.ids[a] for a in anchors]}
 
 
 def gen_mvc_base(k, x, y):
     """Base family: vertex cover of the graph itself crosses the threshold
     4(k-1) + 4*log2(k) exactly when x and y intersect."""
-    log_k = _check_k(k)
-    x = parse_bits(x, k * k, "x")
-    y = parse_bits(y, k * k, "y")
-    b = _Build()
-    _base_vertices(b, k, with_u=False)
+    b, log_k, x, y = _k_family(k, x, y, with_u=False)
     bit_edges, clique_edges = _mvc_fixed_edges(k)
     for u, v in bit_edges + clique_edges:
         b.edge(u, v)
-    for u, v, tag in _variable_pairs(k, x, y, keep_bit=0):
-        b.edge(u, v, tag=tag)
-    return LowerBoundInstance(
-        family="MVC-BASE",
-        params={"k": k},
-        x=x, y=y,
-        graph=b.graph(weighted=False),
-        names=b.names,
-        part_a=_base_part_a(b, k, with_u=False),
-        cut_cap=8 * log_k,
+    for tag, r, bits in (("x", "a", x), ("y", "b", y)):
+        for i, j in _pairs(k, bits, 0):
+            b.edge(f"{r}1_{i}", f"{r}2_{j}", tag=tag)
+    return b.instance(
+        "MVC-BASE", {"k": k}, x, y, cut_cap=8 * log_k,
         thresholds={"problem": "vc", "power": 1,
                     "value": 4 * (k - 1) + 4 * log_k},
-        gadgets={},
-        x_edges=b.x_edges, y_edges=b.y_edges,
     )
 
 
 def gen_mds_base(k, x, y):
     """Base family: dominating set of the graph itself crosses the
     threshold 4*log2(k) + 2 exactly when x and y intersect."""
-    log_k = _check_k(k)
-    x = parse_bits(x, k * k, "x")
-    y = parse_bits(y, k * k, "y")
-    b = _Build()
-    _base_vertices(b, k, with_u=True)
+    b, log_k, x, y = _k_family(k, x, y, with_u=True)
     for u, v in _mds_fixed_edges(k):
         b.edge(u, v)
-    for u, v, tag in _variable_pairs(k, x, y, keep_bit=1):
-        b.edge(u, v, tag=tag)
-    return LowerBoundInstance(
-        family="MDS-BASE",
-        params={"k": k},
-        x=x, y=y,
-        graph=b.graph(weighted=False),
-        names=b.names,
-        part_a=_base_part_a(b, k, with_u=True),
-        cut_cap=8 * log_k,
+    for tag, r, bits in (("x", "a", x), ("y", "b", y)):
+        for i, j in _pairs(k, bits, 1):
+            b.edge(f"{r}1_{i}", f"{r}2_{j}", tag=tag)
+    return b.instance(
+        "MDS-BASE", {"k": k}, x, y, cut_cap=8 * log_k,
         thresholds={"problem": "ds", "power": 1, "value": 4 * log_k + 2},
-        gadgets={},
-        x_edges=b.x_edges, y_edges=b.y_edges,
     )
 
 
@@ -297,65 +300,24 @@ def gen_mwvc_square(k, x, y):
     gets one shared zero-weight vertex carrying its row-to-row edges.  The
     square graph then has a cover of the base threshold weight exactly when
     the base graph does."""
-    log_k = _check_k(k)
-    x = parse_bits(x, k * k, "x")
-    y = parse_bits(y, k * k, "y")
-    b = _Build()
-    _base_vertices(b, k, with_u=False)
+    b, log_k, x, y = _k_family(k, x, y, with_u=False)
     bit_edges, clique_edges = _mvc_fixed_edges(k)
     gadgets = {}
     for u, v in clique_edges:
         b.edge(u, v)
     for idx, (u, v) in enumerate(bit_edges):
-        name = f"p{idx}"
-        b.vertex(name, weight=0)
-        b.edge(name, u)
-        b.edge(name, v)
-        gadgets[name] = {"kind": "vertex",
-                         "verts": [b.ids[name]],
-                         "anchors": [b.ids[u], b.ids[v]]}
-    for row, tag, bits in (("a", "x", x), ("b", "y", y)):
+        _add_zero_vertex(b, gadgets, f"p{idx}", [u, v])
+    for tag, r, bits in (("x", "a", x), ("y", "b", y)):
         for i in range(1, k + 1):
-            name = f"p_{row}_{i}"
-            b.vertex(name, weight=0)
-            b.edge(name, f"{row}1_{i}")
-            for j in range(1, k + 1):
-                if bits[(i - 1) * k + (j - 1)] == 0:
-                    b.edge(name, f"{row}2_{j}", tag=tag)
-            gadgets[name] = {"kind": "vertex",
-                             "verts": [b.ids[name]],
-                             "anchors": [b.ids[f"{row}1_{i}"]]}
-    part_a = _base_part_a(b, k, with_u=False)
-    for name, meta in gadgets.items():
-        if all(a in part_a for a in meta["anchors"]):
-            part_a.add(meta["verts"][0])
-    return LowerBoundInstance(
-        family="MWVC-SQ",
-        params={"k": k},
-        x=x, y=y,
-        graph=b.graph(weighted=True),
-        names=b.names,
-        part_a=part_a,
-        cut_cap=16 * log_k,
+            _add_zero_vertex(b, gadgets, f"p_{r}_{i}", [f"{r}1_{i}"])
+        for i, j in _pairs(k, bits, 0):
+            b.edge(f"p_{r}_{i}", f"{r}2_{j}", tag=tag)
+    return b.instance(
+        "MWVC-SQ", {"k": k}, x, y, cut_cap=16 * log_k,
         thresholds={"problem": "vc", "power": 2,
                     "value": 4 * (k - 1) + 4 * log_k},
         gadgets=gadgets,
-        x_edges=b.x_edges, y_edges=b.y_edges,
     )
-
-
-def _add_path_gadget(b, gadgets, name, length, anchors, kind="path"):
-    verts = []
-    for p in range(1, length + 1):
-        verts.append(b.vertex(f"{name}_{p}"))
-    for p in range(len(verts) - 1):
-        b.edge(b.names[verts[p]], b.names[verts[p + 1]])
-    for a in anchors:
-        b.edge(b.names[verts[0]], a)
-    gadgets[name] = {"kind": kind,
-                     "verts": verts,
-                     "anchors": [b.ids[a] for a in anchors]}
-    return verts
 
 
 def gen_mvc_square(k, x, y):
@@ -363,42 +325,25 @@ def gen_mvc_square(k, x, y):
     3-vertex dangling paths (edge deleted), and each a1/b1 row vertex gets
     a shared 3-vertex path whose head carries the row-to-row edges.  The
     square optimum is the base threshold plus two per gadget."""
-    log_k = _check_k(k)
-    x = parse_bits(x, k * k, "x")
-    y = parse_bits(y, k * k, "y")
-    b = _Build()
-    _base_vertices(b, k, with_u=False)
+    b, log_k, x, y = _k_family(k, x, y, with_u=False)
     bit_edges, clique_edges = _mvc_fixed_edges(k)
     gadgets = {}
     for u, v in clique_edges:
         b.edge(u, v)
     for idx, (u, v) in enumerate(bit_edges):
         _add_path_gadget(b, gadgets, f"dp{idx}", 3, [u, v])
-    for row, tag, bits in (("a", "x", x), ("b", "y", y)):
+    for tag, r, bits in (("x", "a", x), ("y", "b", y)):
         for i in range(1, k + 1):
-            name = f"sh_{row}1_{i}"
-            _add_path_gadget(b, gadgets, name, 3, [f"{row}1_{i}"])
-            head = f"{name}_1"
-            for j in range(1, k + 1):
-                if bits[(i - 1) * k + (j - 1)] == 0:
-                    b.edge(head, f"{row}2_{j}", tag=tag)
+            _add_path_gadget(b, gadgets, f"sh_{r}1_{i}", 3, [f"{r}1_{i}"])
+        for i, j in _pairs(k, bits, 0):
+            b.edge(f"sh_{r}1_{i}_1", f"{r}2_{j}", tag=tag)
     gadget_count = len(gadgets)
-    part_a = _base_part_a(b, k, with_u=False)
-    for meta in gadgets.values():
-        if all(a in part_a for a in meta["anchors"]):
-            part_a.update(meta["verts"])
-    return LowerBoundInstance(
-        family="MVC-SQ",
-        params={"k": k, "gadget_count": gadget_count},
-        x=x, y=y,
-        graph=b.graph(weighted=False),
-        names=b.names,
-        part_a=part_a,
+    return b.instance(
+        "MVC-SQ", {"k": k, "gadget_count": gadget_count}, x, y,
         cut_cap=16 * log_k,
         thresholds={"problem": "vc", "power": 2,
                     "value": 4 * (k - 1) + 4 * log_k + 2 * gadget_count},
         gadgets=gadgets,
-        x_edges=b.x_edges, y_edges=b.y_edges,
     )
 
 
@@ -408,40 +353,23 @@ def gen_mds_square_exact(k, x, y):
     row vertex gets a shared 5-vertex path; row-to-row edges run between
     the shared heads.  The square optimum is the base threshold plus one
     per gadget (the recorded gadget_count, not a closed formula)."""
-    log_k = _check_k(k)
-    x = parse_bits(x, k * k, "x")
-    y = parse_bits(y, k * k, "y")
-    b = _Build()
-    _base_vertices(b, k, with_u=True)
+    b, log_k, x, y = _k_family(k, x, y, with_u=True)
     gadgets = {}
     for idx, (u, v) in enumerate(_mds_fixed_edges(k)):
         _add_path_gadget(b, gadgets, f"dp{idx}", 5, [u, v])
     for row in ("a1", "a2", "b1", "b2"):
         for i in range(1, k + 1):
             _add_path_gadget(b, gadgets, f"sh_{row}_{i}", 5, [f"{row}_{i}"])
-    for i in range(1, k + 1):
-        for j in range(1, k + 1):
-            if x[(i - 1) * k + (j - 1)] == 1:
-                b.edge(f"sh_a1_{i}_1", f"sh_a2_{j}_1", tag="x")
-            if y[(i - 1) * k + (j - 1)] == 1:
-                b.edge(f"sh_b1_{i}_1", f"sh_b2_{j}_1", tag="y")
+    for tag, r, bits in (("x", "a", x), ("y", "b", y)):
+        for i, j in _pairs(k, bits, 1):
+            b.edge(f"sh_{r}1_{i}_1", f"sh_{r}2_{j}_1", tag=tag)
     gadget_count = len(gadgets)
-    part_a = _base_part_a(b, k, with_u=True)
-    for meta in gadgets.values():
-        if all(a in part_a for a in meta["anchors"]):
-            part_a.update(meta["verts"])
-    return LowerBoundInstance(
-        family="MDS-SQ-EXACT",
-        params={"k": k, "gadget_count": gadget_count},
-        x=x, y=y,
-        graph=b.graph(weighted=False),
-        names=b.names,
-        part_a=part_a,
+    return b.instance(
+        "MDS-SQ-EXACT", {"k": k, "gadget_count": gadget_count}, x, y,
         cut_cap=16 * log_k,
         thresholds={"problem": "ds", "power": 2,
                     "value": 4 * log_k + 2 + gadget_count},
         gadgets=gadgets,
-        x_edges=b.x_edges, y_edges=b.y_edges,
     )
 
 
@@ -502,14 +430,14 @@ def gen_set_system(universe, t, r, seed=0):
 
 def _set_gadget(b, prime, system, weighted, r):
     """One copy of the set gadget; returns nothing, vertices are named
-    S/Sb/al/be with a prime suffix."""
+    S/Sb/al/be with a prime suffix.  S, al and alpha are side A."""
     p = "p" if prime else ""
     heavy = r if weighted else None
     for j in range(1, system.t + 1):
-        b.vertex(f"S{p}_{j}")
+        b.vertex(f"S{p}_{j}", side_a=True)
         b.vertex(f"Sb{p}_{j}")
     for i in range(1, system.universe + 1):
-        b.vertex(f"al{p}_{i}", weight=heavy)
+        b.vertex(f"al{p}_{i}", weight=heavy, side_a=True)
         b.vertex(f"be{p}_{i}", weight=heavy)
         b.edge(f"al{p}_{i}", f"be{p}_{i}")
     for j in range(1, system.t + 1):
@@ -519,7 +447,7 @@ def _set_gadget(b, prime, system, weighted, r):
             else:
                 b.edge(f"Sb{p}_{j}", f"be{p}_{i}")
     if weighted:
-        b.vertex(f"alpha{p}", weight=r)
+        b.vertex(f"alpha{p}", weight=r, side_a=True)
         b.vertex(f"beta{p}", weight=r)
         for j in range(1, system.t + 1):
             b.edge(f"alpha{p}", f"S{p}_{j}")
@@ -533,16 +461,19 @@ def _approx_instance(t, universe, r, x, y, seed, weighted):
     b = _Build()
     for row in ("a", "ap", "b", "bp"):
         for i in range(1, t + 1):
-            b.vertex(f"{row}_{i}")
+            b.vertex(f"{row}_{i}", side_a=row[0] == "a")
     _set_gadget(b, prime=False, system=system, weighted=weighted, r=r)
     _set_gadget(b, prime=True, system=system, weighted=weighted, r=r)
     gadgets = {}
-    # merged shared path gadgets: per-row-vertex heads on a common 3-path
+    # merged shared path gadgets: per-row-vertex heads on a common 3-path;
+    # Ast hangs on the a rows (side A), Bst on the b rows (side B)
     for star, rows in (("Ast", ("a", "ap")), ("Bst", ("b", "bp"))):
+        side_a = star == "Ast"
         common = [
-            b.vertex(f"{star}_3", weight=0 if weighted else None),
-            b.vertex(f"{star}_4"),
-            b.vertex(f"{star}_5"),
+            b.vertex(f"{star}_3", weight=0 if weighted else None,
+                     side_a=side_a),
+            b.vertex(f"{star}_4", side_a=side_a),
+            b.vertex(f"{star}_5", side_a=side_a),
         ]
         b.edge(f"{star}_3", f"{star}_4")
         b.edge(f"{star}_4", f"{star}_5")
@@ -552,8 +483,8 @@ def _approx_instance(t, universe, r, x, y, seed, weighted):
             for label in ("row", "set"):
                 for i in range(1, t + 1):
                     head = f"{star}_{row}{'S' if label == 'set' else ''}_{i}"
-                    h1 = b.vertex(f"{head}_1")
-                    h2 = b.vertex(f"{head}_2")
+                    h1 = b.vertex(f"{head}_1", side_a=side_a)
+                    h2 = b.vertex(f"{head}_2", side_a=side_a)
                     b.edge(f"{head}_1", f"{head}_2")
                     b.edge(f"{head}_2", f"{star}_3")
                     b.edge(f"{head}_1", f"{row}_{i}")
@@ -561,9 +492,7 @@ def _approx_instance(t, universe, r, x, y, seed, weighted):
                                   "anchors": [b.ids[f"{row}_{i}"]]})
                     if label == "set":
                         # heads on the set side reach every other set vertex
-                        sv = ("S" if star == "Ast" else "Sb") + (
-                            "p" if prime else ""
-                        )
+                        sv = ("S" if side_a else "Sb") + ("p" if prime else "")
                         for j in range(1, t + 1):
                             if j != i:
                                 b.edge(f"{head}_1", f"{sv}_{j}")
@@ -576,44 +505,20 @@ def _approx_instance(t, universe, r, x, y, seed, weighted):
                 (f"qb_{j}", f"Sb_{j}", "Bst"),
                 (f"qbp_{j}", f"Sbp_{j}", "Bst"),
             ):
-                b.vertex(qname)
+                b.vertex(qname, side_a=star == "Ast")
                 b.edge(qname, sname)
                 b.edge(qname, f"{star}_3")
-    for i in range(1, t + 1):
-        for j in range(1, t + 1):
-            if x[(i - 1) * t + (j - 1)] == 1:
-                b.edge(f"Ast_a_{i}_1", f"Ast_ap_{j}_1", tag="x")
-            if y[(i - 1) * t + (j - 1)] == 1:
-                b.edge(f"Bst_b_{i}_1", f"Bst_bp_{j}_1", tag="y")
-    part_names = [f"a_{i}" for i in range(1, t + 1)]
-    part_names += [f"ap_{i}" for i in range(1, t + 1)]
-    for p in ("", "p"):
-        part_names += [f"S{p}_{j}" for j in range(1, t + 1)]
-        part_names += [f"al{p}_{i}" for i in range(1, universe + 1)]
-        if weighted:
-            part_names.append(f"alpha{p}")
-        else:
-            part_names += [f"q_{j}" for j in range(1, t + 1)]
-            part_names += [f"qp_{j}" for j in range(1, t + 1)]
-    part_a = {b.ids[name] for name in set(part_names) & set(b.ids)}
-    part_a.update(
-        vid for name, vid in b.ids.items() if name.startswith("Ast_")
-    )
-    if weighted:
-        thresholds = {"problem": "ds", "power": 2, "low": 6, "high": 7}
-    else:
-        thresholds = {"problem": "ds", "power": 2, "low": 8, "high": 9}
-    return LowerBoundInstance(
-        family="MWDS-SQ-APPROX" if weighted else "MDS-SQ-APPROX",
-        params={"T": t, "universe": universe, "r": r, "seed": seed},
-        x=x, y=y,
-        graph=b.graph(weighted=weighted),
-        names=b.names,
-        part_a=part_a,
+    for tag, star, row, bits in (("x", "Ast", "a", x), ("y", "Bst", "b", y)):
+        for i, j in _pairs(t, bits, 1):
+            b.edge(f"{star}_{row}_{i}_1", f"{star}_{row}p_{j}_1", tag=tag)
+    low = 6 if weighted else 8
+    return b.instance(
+        "MWDS-SQ-APPROX" if weighted else "MDS-SQ-APPROX",
+        {"T": t, "universe": universe, "r": r, "seed": seed}, x, y,
         cut_cap=4 * universe,
-        thresholds=thresholds,
+        thresholds={"problem": "ds", "power": 2, "low": low,
+                    "high": low + 1},
         gadgets=gadgets,
-        x_edges=b.x_edges, y_edges=b.y_edges,
     )
 
 
@@ -629,26 +534,19 @@ def gen_mds_square_approx_unweighted(t, universe, r, x, y, seed=0):
     return _approx_instance(t, universe, r, x, y, seed, weighted=False)
 
 
-def dangling_transform(g, length=3, delete_original=True):
-    """Replace (or shadow) each edge with a dangling path of `length` new
-    vertices whose head is adjacent to both endpoints.  With length 3 and
-    deletion, the square's cover optimum is the original optimum plus two
-    per edge."""
+def dangling_transform(g, length=3):
+    """Replace each edge with a dangling path of `length` new vertices
+    whose head is adjacent to both endpoints.  With length 3 the square's
+    cover optimum is the original optimum plus two per edge."""
     if g.weights is not None:
         raise InputError("dangling_transform expects an unweighted graph")
     if length not in (3, 5):
         raise InputError(f"gadget length must be 3 or 5, got {length}")
     edges = []
-    base_edges = list(g.edges())
-    if not delete_original:
-        edges.extend(base_edges)
     n = g.n
-    for u, v in base_edges:
-        head = n
-        for p in range(length - 1):
-            edges.append((n + p, n + p + 1))
-        edges.append((head, u))
-        edges.append((head, v))
+    for u, v in g.edges():
+        edges += [(n + p, n + p + 1) for p in range(length - 1)]
+        edges += [(n, u), (n, v)]
         n += length
     return Graph(n, edges)
 
@@ -672,11 +570,7 @@ def merged_dangling_transform(g):
     return Graph(n + 3, edges)
 
 
-def _square_closed(h2):
-    return [frozenset(h2.adj[v]) | {v} for v in range(h2.n)]
-
-
-def _normalize_vc(inst, h2, cover):
+def _normalize_vc(inst, cover):
     new = set(cover)
     for meta in inst.gadgets.values():
         if meta["kind"] == "vertex":
@@ -718,24 +612,19 @@ def _ds_drop(closed, new, drop, anchors):
     new.add(drop)  # no safe single-vertex exchange; keep it
 
 
-def _normalize_ds(inst, h2, cover):
-    closed = _square_closed(h2)
+def _normalize_ds(inst, closed, cover):
     new = set(cover)
     for meta in inst.gadgets.values():
         if meta["kind"] == "path":
             verts = meta["verts"]
-            mid = verts[2]
-            if mid not in new:
-                new.add(mid)
+            new.add(verts[2])
             anchors = sorted(meta["anchors"])
             for p in (4, 3, 1, 0):
-                if p == 2 or p >= len(verts):
-                    continue
-                _ds_drop(closed, new, verts[p], anchors)
+                if p < len(verts):
+                    _ds_drop(closed, new, verts[p], anchors)
         elif meta["kind"] == "merged":
             common = meta["common"]
-            if common[0] not in new:
-                new.add(common[0])
+            new.add(common[0])
             _ds_drop(closed, new, common[1], [])
             _ds_drop(closed, new, common[2], [])
             for head in meta["heads"]:
@@ -757,13 +646,15 @@ def normalize_cover(inst, cover):
     cover = frozenset(cover)
     if not is_feasible(inst.graph, kind, cover):
         raise ContractError("normalize_cover requires a feasible cover")
-    h2 = square(inst.graph)
+    if kind == DS2:
+        h2 = square(inst.graph)
+        closed = [frozenset(h2.adj[v]) | {v} for v in range(h2.n)]
     current = set(cover)
     for _ in range(5):
         if kind == VC2:
-            rewritten = _normalize_vc(inst, h2, current)
+            rewritten = _normalize_vc(inst, current)
         else:
-            rewritten = _normalize_ds(inst, h2, current)
+            rewritten = _normalize_ds(inst, closed, current)
         if rewritten == current:
             break
         current = rewritten
@@ -775,17 +666,14 @@ def normalize_cover(inst, cover):
     return result
 
 
-def verify_family(inst, cap=ORACLE_CAP):
+def verify_family(inst):
     """Solve the instance exactly and report threshold agreement along
     with partition sanity (x edges inside side A, y edges inside side B,
     cut within its cap)."""
     th = inst.thresholds
     target = square(inst.graph) if th["power"] == 2 else inst.graph
-    if th["problem"] == "vc":
-        sol = exact_mvc(target, cap=cap)
-    else:
-        sol = exact_mds(target, cap=cap)
-    value = sol.value
+    solve = exact_mvc if th["problem"] == "vc" else exact_mds
+    value = solve(target, cap=ORACLE_CAP).value
     low = th.get("low", th.get("value"))
     high = th.get("high", low)
     disj = disjoint(inst.x, inst.y)

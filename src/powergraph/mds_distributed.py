@@ -110,8 +110,8 @@ class _SampleMinProgram(NodeProgram):
 
     def _fold(self, best, inbox):
         bits = self.ctx.word_bits
-        for s in sorted(inbox):
-            vals = _unpack_samples(inbox[s], bits)
+        for msg in inbox.values():
+            vals = _unpack_samples(msg, bits)
             if best is None:
                 best = vals
             else:
@@ -269,8 +269,8 @@ class _RelayBestProgram(NodeProgram):
         return a < b if self.prefer_min else a > b
 
     def step(self, r, inbox):
-        for s in sorted(inbox):
-            val = tuple(inbox[s])
+        for s, msg in inbox.items():
+            val = tuple(msg)
             if self._better(val, self.best):
                 self.best = val
                 self.gateway = s
@@ -360,14 +360,6 @@ class _CoverFloodProgram(NodeProgram):
         return {}
 
 
-def _next_pow2_exponent(x):
-    """Smallest k with 2^k >= x, for x >= 1."""
-    k = 0
-    while (1 << k) < x:
-        k += 1
-    return k
-
-
 def g2mds_logd(g, seed=0, cfg=None, model=None):
     """O(log Delta)-approximate dominating set of G^2; returns
     (Solution, RoundStats)."""
@@ -397,7 +389,7 @@ def g2mds_logd(g, seed=0, cfg=None, model=None):
         rho_exp = [None] * n
         for v in range(n):
             if est[v] >= 1:
-                rho_exp[v] = _next_pow2_exponent(math.ceil(est[v]))
+                rho_exp[v] = (math.ceil(est[v]) - 1).bit_length()
 
         # candidates: maximal rounded density within four hops
         values = [

@@ -91,12 +91,11 @@ class _Phase1Program(NodeProgram):
                 return self._bcast((1,))
             return {}
         # phase 3: join S next to a fired center
-        centers = sorted(inbox)
-        if centers and self.in_R:
+        if inbox and self.in_R:
             # fired centers are three apart, so at most one neighbors us
             self.in_S = True
             self.in_R = False
-            self.joined_center = centers[0]
+            self.joined_center = next(iter(inbox))
             return self._bcast((1,))
         return {}
 

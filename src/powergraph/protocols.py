@@ -40,7 +40,7 @@ class _BfsFloodProgram(NodeProgram):
 
     def step(self, r, inbox):
         best, _, depth = self.output
-        for sender, (leader, d) in sorted(inbox.items()):
+        for sender, (leader, d) in inbox.items():
             if leader < best or (leader == best and d + 1 < depth):
                 best, depth = leader, d + 1
                 self.output = (best, sender, depth)
@@ -85,11 +85,11 @@ class _ConvergecastProgram(NodeProgram):
             self.queue = list(items)
 
     def step(self, r, inbox):
-        for sender in sorted(inbox):
+        for msg in inbox.values():
             if self.parent is None:
-                self.output.append(inbox[sender])
+                self.output.append(msg)
             else:
-                self.queue.append(inbox[sender])
+                self.queue.append(msg)
         if self.parent is not None and self.queue:
             msg = self.queue.pop(0)
             self.awake = bool(self.queue)
@@ -123,7 +123,7 @@ def pipelined_convergecast(g, tree, items, model, seed=0):
         return _ConvergecastProgram(ctx, p, items[ctx.node])
 
     outputs, stats = run(g, factory, model, seed=seed)
-    return sorted(outputs[root]), stats
+    return (sorted(outputs[root]) if g.n else []), stats
 
 
 class _BroadcastProgram(NodeProgram):
@@ -146,8 +146,7 @@ class _BroadcastProgram(NodeProgram):
             self.queue = [(len(payload),)] + self.output
 
     def step(self, r, inbox):
-        for sender in sorted(inbox):
-            msg = inbox[sender]
+        for msg in inbox.values():
             if self.expected is None:
                 (self.expected,) = msg
             else:

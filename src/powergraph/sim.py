@@ -149,6 +149,9 @@ def run(g, factory, model, seed=0, round_cap=None):
     """Execute one NodeProgram per vertex until the stop rule above holds.
 
     factory(ctx) -> NodeProgram.  Returns (list of outputs, RoundStats).
+
+    Nodes are stepped in ascending id order, so every inbox is a dict
+    keyed in ascending sender order; programs may iterate it as is.
     """
     n = g.n
     bits = word_bits(n)

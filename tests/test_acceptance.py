@@ -298,7 +298,7 @@ def test_10_hardness_transforms():
     vc_checked = ds_checked = 0
     for g in graphs:
         base_vc = brute_min_vc(g.n, list(g.edges()))
-        h = dangling_transform(g, 3, delete_original=True)
+        h = dangling_transform(g, 3)
         assert exact_mvc(square(h)).value == base_vc + 2 * g.m
         vc_checked += 1
         if g.m > 0:

@@ -1,12 +1,17 @@
 """Tests for the graph file format and the command-line harness."""
 
+import contextlib
+import hashlib
+import io
 import json
 import os
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from powergraph.cli import main
+from powergraph.cli import ALGOS, main
 from powergraph.errors import ParseError
 from powergraph.graph import Graph
 from powergraph.graphio import (
@@ -335,6 +340,25 @@ class TestGenLb:
         assert code == 1
         assert json.loads(out)["error"] == "InputError"
 
+    def test_outputs_match_pinned_hashes(self, tmp_path, capsys):
+        # every family at two sizes and four bit-string pairs; the hash
+        # covers the .graph file followed by its .graph.json sidecar
+        pinned = os.path.join(os.path.dirname(__file__), "data",
+                              "gen_lb_sha256.json")
+        with open(pinned, encoding="utf-8") as fh:
+            cases = json.load(fh)
+        assert len(cases) == 56
+        fname = tmp_path / "lb.graph"
+        changed = []
+        for case in cases:
+            code, out = run_cli(capsys, "gen", "lb", *case["args"],
+                                "--output", str(fname))
+            assert code == 0, out
+            data = fname.read_bytes() + Path(f"{fname}.json").read_bytes()
+            if hashlib.sha256(data).hexdigest() != case["sha256"]:
+                changed.append(" ".join(case["args"]))
+        assert changed == []
+
 
 class TestSweep:
     def test_acceptance_suite_shape_and_determinism(self, capsys):
@@ -364,3 +388,100 @@ class TestSweep:
         code, out = run_cli(capsys, "sweep", "--suite", "nope")
         assert code == 1
         assert json.loads(out)["error"] == "InputError"
+
+
+def one_record(code, out, err):
+    """The error contract: exit 1, one JSON line, nothing on stderr."""
+    assert code == 1 and err == ""
+    lines = out.splitlines()
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+NOT_UTF8 = b"\xff\xfe p 2 1\n"
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("argv,error", [
+        (("run", "--algo", "g2mvc-53", "--input", "{not_utf8}"),
+         "ParseError"),
+        (("verify", "--input", "{p3}", "--solution", "{not_utf8}",
+          "--kind", "vc2"), "InputError"),
+        (("run", "--algo", "g2mvc-53", "--input", "{weighted}"),
+         "InputError"),
+        (("gen", "random", "--model", "gnp", "--n", "5", "--p", "abc"),
+         "InputError"),
+        (("gen", "random", "--model", "gnp", "--n", "5", "--p", "2/0"),
+         "InputError"),
+        (("gen", "random", "--model", "gnp", "--n", "5", "--p", "-1"),
+         "InputError"),
+        (("gen", "random", "--model", "gnp", "--n", "5", "--p", "3/2"),
+         "InputError"),
+    ])
+    def test_bad_input_is_one_record(self, tmp_path, capsys, argv, error):
+        files = {"not_utf8": tmp_path / "bad.txt", "p3": tmp_path / "p3.graph",
+                 "weighted": tmp_path / "w.graph"}
+        files["not_utf8"].write_bytes(NOT_UTF8)
+        write_graph(path(3), str(files["p3"]))
+        write_graph(Graph(2, [(0, 1)], weights={0: 1, 1: 2}),
+                    str(files["weighted"]))
+        code = main([arg.format(**files) for arg in argv])
+        captured = capsys.readouterr()
+        record = one_record(code, captured.out, captured.err)
+        assert record["error"] == error
+
+    def test_unit_interval_ends_accepted(self, capsys):
+        code, out = run_cli(capsys, "gen", "random", "--model", "gnp",
+                            "--n", "4", "--p", "1")
+        assert code == 0 and out == format_graph(complete(4))
+        code, out = run_cli(capsys, "gen", "random", "--model", "gnp",
+                            "--n", "1", "--p", "0")
+        assert code == 0 and out == "p 1 0\n"
+
+
+_NOISE = st.sampled_from([
+    "", "c note", "p", "p 2 x", "p 3 1 heavy", "e 0", "e a b", "e 0 0",
+    "e 0 99", "e -1 0", "w 0 x", "w 0 1/0", "w 0 -1", "w 99 1", "q 1 2",
+])
+
+
+@st.composite
+def graph_files(draw):
+    """Graph-file text: a header of at most 12 vertices, weights, edges,
+    and up to two lines of noise from a small grammar."""
+    n = draw(st.integers(0, 12))
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=2 * n))
+    if draw(st.booleans()):  # a spanning path keeps the graph connected
+        pairs += [(v - 1, v) for v in range(1, n)]
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    weighted = draw(st.booleans())
+    m = len(edges) + draw(st.sampled_from([0, 0, 0, 0, 1]))
+    lines = [f"p {n} {m}" + (" weighted" if weighted else "")]
+    if weighted:
+        weight = st.sampled_from(["1", "3", "5/2", "0"])
+        lines += [f"w {v} {draw(weight)}" for v in range(n)]
+    lines += [f"e {u} {v}" for u, v in edges]
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        lines.insert(draw(st.integers(0, len(lines))), draw(_NOISE))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(text=graph_files(), algo=st.sampled_from(ALGOS),
+       with_opt=st.booleans())
+def test_run_on_generated_graph_files(tmp_path_factory, text, algo, with_opt):
+    fname = tmp_path_factory.getbasetemp() / "generated.graph"
+    fname.write_text(text)
+    argv = ["run", "--algo", algo, "--input", str(fname), "--eps", "1/2"]
+    if with_opt:
+        argv.append("--with-opt")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    if code == 0:
+        lines = out.getvalue().splitlines()
+        assert len(lines) == 1 and err.getvalue() == ""
+        assert json.loads(lines[0])["feasible"] is True
+    else:
+        one_record(code, out.getvalue(), err.getvalue())

@@ -291,12 +291,12 @@ class TestApproxFamilies:
 
 class TestDanglingTransform:
     def test_single_edge(self):
-        h = dangling_transform(Graph(2, [(0, 1)]), 3, True)
+        h = dangling_transform(Graph(2, [(0, 1)]), 3)
         assert h.n == 5
         assert exact_mvc(square(h)).value == 1 + 2
 
     def test_triangle(self):
-        h = dangling_transform(Graph(3, [(0, 1), (0, 2), (1, 2)]), 3, True)
+        h = dangling_transform(Graph(3, [(0, 1), (0, 2), (1, 2)]), 3)
         assert exact_mvc(square(h)).value == 2 + 6
 
     def test_edgeless_unchanged(self):
@@ -308,7 +308,7 @@ class TestDanglingTransform:
         for trial in range(12):
             n = rng.randint(2, 8)
             g = Graph(n, random_connected_gnp(n, 0.45, seed=900 + trial))
-            h = dangling_transform(g, 3, True)
+            h = dangling_transform(g, 3)
             opt_g = brute_min_vc(g.n, list(g.edges()))
             opt_h = exact_mvc(square(h), cap=256).value
             assert opt_h == opt_g + 2 * g.m

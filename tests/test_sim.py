@@ -165,6 +165,32 @@ class TestWake:
         assert outputs == [[0], [0, 1], [0, 2], [0, 3]]
         assert stats.rounds == 3  # the last sweep only delivered mail
 
+    def test_inboxes_keyed_in_ascending_sender_order(self):
+        class Record(NodeProgram):
+            """Everyone sends to everyone, then odd ids answer node 0."""
+
+            def __init__(self, ctx):
+                super().__init__(ctx)
+                self.output = []
+
+            def step(self, r, inbox):
+                self.output.append((r, list(inbox)))
+                n, v = self.ctx.n, self.ctx.node
+                if r == 0:
+                    return {u: (v,) for u in range(n - 1, -1, -1) if u != v}
+                if r == 1 and v % 2:
+                    return {0: (v,)}
+                return {}
+
+        outputs, _ = run(complete(7), Record, Model(CLIQUE))
+        for v, steps in enumerate(outputs):
+            others = [u for u in range(7) if u != v]
+            assert steps[:2] == [(0, []), (1, others)]
+            for _, senders in steps:
+                assert senders == sorted(senders)
+        assert outputs[0][2] == (2, [1, 3, 5])
+        assert [len(steps) for steps in outputs] == [3, 2, 2, 2, 2, 2, 2]
+
 
 class TestWords:
     def test_round_trip_most_significant_first(self):
@@ -240,6 +266,10 @@ class TestConvergecast:
         got, stats = pipelined_convergecast(g, (0, {}), items, Model(CLIQUE))
         assert stats.rounds == 3
         assert len(got) == 12
+
+    def test_empty_graph_gathers_nothing(self):
+        got, stats = pipelined_convergecast(Graph(0, []), (None, {}), [], Model(CONGEST))
+        assert got == [] and stats.rounds == 0
 
     def test_oversize_item_rejected(self):
         g = path(2)
