@@ -130,9 +130,10 @@ def _gen_tree(n, rng):
 def _cmd_gen_random(args):
     if args.n < 1:
         raise InputError("--n must be positive")
+    p = _parse_p(args.p)
     rng = random.Random(args.seed)
     if args.model == "gnp":
-        g = _gen_gnp(args.n, float(_parse_p(args.p)), rng)
+        g = _gen_gnp(args.n, float(p), rng)
     else:
         g = _gen_tree(args.n, rng)
     if args.weights is not None:

@@ -39,6 +39,8 @@ class EstimateConfig:
         eps_est = Fraction(eps_est)
         if not (0 < eps_est < Fraction(1, 4)):
             raise InputError("eps_est must lie strictly between 0 and 1/4")
+        if samples is not None and samples < 1:
+            raise InputError("samples must be a positive integer")
         self.eps_est = eps_est
         self.samples = samples
         self.exact_threshold = exact_threshold
@@ -60,8 +62,8 @@ class EstimateConfig:
 # ---------------------------------------------------------------------------
 
 class _EdgeStreamProgram(NodeProgram):
-    """Low-degree vertices stream (neighbor, status) pairs, staying awake
-    while they have pairs left; everyone collects what its neighbors
+    """Low-degree vertices stream (neighbor, status) pairs, one per sweep,
+    waking while they have pairs left; everyone collects what its neighbors
     forward, as {sender: [(vertex, status)]}."""
 
     def __init__(self, ctx, items):
@@ -74,7 +76,7 @@ class _EdgeStreamProgram(NodeProgram):
             self.output.setdefault(s, []).append((msg[0], msg[1]))
         if self.queue:
             item = self.queue.pop(0)
-            self.awake = bool(self.queue)
+            self.wake_at = r + 1 if self.queue else None
             return {u: item for u in self.ctx.neighbors}
         return {}
 
@@ -99,11 +101,12 @@ def _unpack_samples(msg, bits):
 class _SampleMinProgram(NodeProgram):
     """Two relay-min sweeps per chunk of fixed-point samples.  A node with
     nothing to report for a chunk stays silent; a missing per-chunk
-    minimum therefore means no sample-holder within two hops."""
+    minimum therefore means no sample-holder within two hops.  A node
+    wakes at every chunk boundary, and in between only while it holds a
+    running minimum to rebroadcast."""
 
     def __init__(self, ctx, chunks):
         super().__init__(ctx)
-        self.awake = True
         self.chunks = chunks  # per-chunk word tuple, or None if not in U
         self.mins = []  # per chunk: list of per-sample minima, or None
         self.stage_best = None
@@ -124,19 +127,21 @@ class _SampleMinProgram(NodeProgram):
             if chunk > 0:  # close out the previous chunk
                 self.mins.append(self._fold(self.stage_best, inbox))
             if chunk == len(self.chunks):
-                self.awake = False
+                self.wake_at = None
                 self.output = self.mins
                 return {}
             own = self.chunks[chunk]
-            self.stage_best = (
-                _unpack_samples(own, self.ctx.word_bits) if own is not None else None
-            )
-            if own is not None:
-                return {u: own for u in self.ctx.neighbors}
-            return {}
+            if own is None:
+                self.stage_best = None
+                self.wake_at = r + 2
+                return {}
+            self.stage_best = _unpack_samples(own, self.ctx.word_bits)
+            self.wake_at = r + 1
+            return {u: own for u in self.ctx.neighbors}
         # sweep 1: fold neighbor draws, rebroadcast the running minimum
         best = self._fold(self.stage_best, inbox)
         self.stage_best = best
+        self.wake_at = r + 1
         if best is None:
             return {}
         msg = _pack_samples(best, self.ctx.word_bits)
@@ -252,11 +257,12 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
 class _RelayBestProgram(NodeProgram):
     """Spread (value tuple, origin id) extrema over a fixed number of hops.
     Tracks the neighbor that first delivered the final best (the gateway
-    toward the origin)."""
+    toward the origin).  Only mail and the last sweep, `hops`, wake a node:
+    sweep 0 sends every initial value."""
 
     def __init__(self, ctx, value, hops, prefer_min):
         super().__init__(ctx)
-        self.awake = True
+        self.wake_at = hops
         self.best = value  # tuple of words + (origin,) or None
         self.hops = hops
         self.prefer_min = prefer_min
@@ -278,7 +284,7 @@ class _RelayBestProgram(NodeProgram):
             elif val == self.best and self.gateway is not None and s < self.gateway:
                 self.gateway = s
         if r >= self.hops:
-            self.awake = False
+            self.wake_at = None
             self.output = (self.best, self.gateway)
             return {}
         if self.dirty and self.best is not None:
@@ -299,11 +305,12 @@ def _relay_best(g, values, hops, prefer_min, model, seed):
 
 class _VoteProgram(NodeProgram):
     """Voters send their chosen candidate's id toward the gateway; relays
-    aggregate per-candidate counts; candidates tally."""
+    aggregate per-candidate counts; candidates tally.  Every node wakes
+    for the tally in sweep 2."""
 
     def __init__(self, ctx, vote):
         super().__init__(ctx)
-        self.awake = True
+        self.wake_at = 2
         self.vote = vote  # (candidate, gateway) or None
         self.tally = 0
         self.forward = {}
@@ -329,17 +336,18 @@ class _VoteProgram(NodeProgram):
             return {c: (k,) for c, k in counts.items()}
         for s, msg in inbox.items():
             self.tally += msg[0]
-        self.awake = False
+        self.wake_at = None
         self.output = self.tally
         return {}
 
 
 class _CoverFloodProgram(NodeProgram):
-    """Winners flood a covered flag two hops out."""
+    """Winners flood a covered flag two hops out; every node wakes for its
+    output in sweep 2."""
 
     def __init__(self, ctx, is_winner):
         super().__init__(ctx)
-        self.awake = True
+        self.wake_at = 2
         self.is_winner = is_winner
         self.covered = is_winner
 
@@ -355,7 +363,7 @@ class _CoverFloodProgram(NodeProgram):
             return {}
         if inbox:
             self.covered = True
-        self.awake = False
+        self.wake_at = None
         self.output = self.covered
         return {}
 

@@ -35,13 +35,15 @@ def effective_epsilon(eps):
 # Phase I, unweighted: centers with more than l uncovered neighbors fire
 # when they hold the maximum id among candidates within two hops.  Each
 # iteration takes 4 sweeps: candidacy, relay of the two-hop candidate
-# maximum, firing, and R-status updates.
+# maximum, firing, and R-status updates.  A node that is not a candidate
+# never becomes one again, since its uncovered neighbors only leave and it
+# never rejoins C, so it sleeps until mail comes or the schedule ends; a
+# candidate wakes for the candidacy, relay and firing sweeps.
 # ---------------------------------------------------------------------------
 
 class _Phase1Program(NodeProgram):
     def __init__(self, ctx, l, i_max):
         super().__init__(ctx)
-        self.awake = True
         self.l, self.i_max = l, i_max
         self.in_S = False
         self.in_R = True
@@ -60,7 +62,7 @@ class _Phase1Program(NodeProgram):
         if it >= self.i_max:
             for s in inbox:  # absorb trailing R-status updates
                 self.r_nbrs.discard(s)
-            self.awake = False
+            self.wake_at = None
             self.output = {
                 "in_S": self.in_S,
                 "fired": self.fired,
@@ -68,6 +70,15 @@ class _Phase1Program(NodeProgram):
                 "u_nbrs": frozenset(self.r_nbrs),
             }
             return {}
+        outbox = self._step(phase, inbox)
+        end = 4 * self.i_max
+        if self.is_cand:
+            self.wake_at = min(r + 2 if phase == 2 else r + 1, end)
+        else:
+            self.wake_at = end
+        return outbox
+
+    def _step(self, phase, inbox):
         if phase == 0:
             for s in inbox:
                 self.r_nbrs.discard(s)
@@ -82,12 +93,14 @@ class _Phase1Program(NodeProgram):
                 return self._bcast((self.best_seen,))
             return {}
         if phase == 2:
+            if not self.is_cand:  # best_seen may be from an earlier sweep
+                return {}
             vals = [msg[0] for msg in inbox.values()]
-            if self.best_seen is not None:
-                vals.append(self.best_seen)
-            if self.is_cand and vals and max(vals) == self.ctx.node:
+            vals.append(self.best_seen)
+            if max(vals) == self.ctx.node:
                 self.fired = True
                 self.in_C = False
+                self.is_cand = False
                 return self._bcast((1,))
             return {}
         # phase 3: join S next to a fired center
@@ -245,44 +258,14 @@ def weight_class_index(w, w_star):
     return i
 
 
-def weight_classes(g, c, restrict=None):
-    """Return (w_star, {class index -> member list}) for center c.
-
-    w_star is the minimum positive weight in N(c); zero-weight vertices are
-    excluded, since they are pre-added to any cover.  restrict, when given,
-    intersects the class membership (e.g. with the uncovered set).
-    """
-    pos_all = [g.weight(u) for u in g.adj[c] if g.weight(u) > 0]
-    if not pos_all:
-        return None, {}
-    w_star = min(pos_all)
-    nbrs = [u for u in g.adj[c] if g.weight(u) > 0]
-    if restrict is not None:
-        nbrs = [u for u in nbrs if u in restrict]
-    classes = {}
-    for u in nbrs:
-        classes.setdefault(weight_class_index(g.weight(u), w_star), []).append(u)
-    return w_star, classes
-
-
-def class_selectable(g, members, eps):
-    """Selection test: max weight <= (sum of weights) * eps/(1+eps)."""
-    eps = Fraction(eps)
-    if not members:
-        return False
-    w_max = max(g.weight(u) for u in members)
-    total = sum((g.weight(u) for u in members), Fraction(0))
-    return w_max <= total * eps / (1 + eps)
-
-
 class _WeightedPassProgram(NodeProgram):
     """One sequential scan over centers: slot c spans two sweeps.  The
     center announces w_star and a bitmask of selectable classes; selected
-    neighbors join S and report leaving R."""
+    neighbors join S and report leaving R.  A node wakes at its own slot,
+    sweep 2v, and at the end, sweep 2n; mail wakes it otherwise."""
 
     def __init__(self, ctx, eps, w, nbr_w, in_S, in_R, r_view):
         super().__init__(ctx)
-        self.awake = True
         self.eps = eps
         self.w = w
         self.nbr_w = nbr_w
@@ -295,12 +278,16 @@ class _WeightedPassProgram(NodeProgram):
         return {u: msg for u in self.ctx.neighbors}
 
     def step(self, r, inbox):
+        own, end = 2 * self.ctx.node, 2 * self.ctx.n
+        if r >= end:
+            self.wake_at = None
+        else:
+            self.wake_at = own if r < own else end
         bits = self.ctx.word_bits
         if r % 2 == 0:
             for s in inbox:
                 self.r_view.discard(s)
-            if r == 2 * self.ctx.n:
-                self.awake = False
+            if r == end:
                 self.output = {
                     "in_S": self.in_S,
                     "in_R": self.in_R,
@@ -424,7 +411,6 @@ class _VotingProgram(NodeProgram):
 
     def __init__(self, ctx, eps, max_phases):
         super().__init__(ctx)
-        self.awake = True
         self.threshold = Fraction(8, 1) / eps + 2
         self.max_phases = max_phases
         self.in_R = True
@@ -438,6 +424,9 @@ class _VotingProgram(NodeProgram):
         self.queue = []
 
     def step(self, r, inbox):
+        if self.output is not None:  # the verdict is in
+            return {}
+        self.wake_at = r + 1  # every sweep until the verdict
         if self.stage == _STAGE_VOTE:
             return self._vote_step(inbox)
         return self._gather_step(inbox)
@@ -508,7 +497,7 @@ class _VotingProgram(NodeProgram):
                 H = _decode_f(self.collected, ctx.n)
                 members = exact_mvc(H).members
                 self.in_cover = self.in_cover or (0 in members)
-                self.awake = False
+                self.wake_at = None
                 self.output = {"in_cover": self.in_cover, "phases": self.phase}
                 return {
                     u: ((1,) if u in members else (0,))
@@ -518,7 +507,7 @@ class _VotingProgram(NodeProgram):
             return {}
         if 0 in inbox:  # the leader's verdict
             self.in_cover = self.in_cover or inbox[0] == (1,)
-            self.awake = False
+            self.wake_at = None
             self.output = {"in_cover": self.in_cover, "phases": self.phase}
             return {}
         if self.queue:

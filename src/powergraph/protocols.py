@@ -73,8 +73,9 @@ def elect_leader_bfs(g, model=None, seed=0):
 
 class _ConvergecastProgram(NodeProgram):
     """Ship one item per round toward the root: along tree edges under
-    CONGEST, straight to the root under CLIQUE.  A node stays awake while
-    it has items to ship.  The root's output is the list of items it holds."""
+    CONGEST, straight to the root under CLIQUE.  A node wakes in the next
+    sweep while it has items to ship.  The root's output is the list of
+    items it holds."""
 
     def __init__(self, ctx, parent, items):
         super().__init__(ctx)
@@ -92,7 +93,7 @@ class _ConvergecastProgram(NodeProgram):
                 self.queue.append(msg)
         if self.parent is not None and self.queue:
             msg = self.queue.pop(0)
-            self.awake = bool(self.queue)
+            self.wake_at = r + 1 if self.queue else None
             return {self.parent: msg}
         return {}
 
@@ -130,8 +131,8 @@ class _BroadcastProgram(NodeProgram):
     """Pipelined tree broadcast of a list of word tuples from the root.
 
     The first message announces how many items follow; the output is the
-    list of items received so far.  A node stays awake while it has items
-    to forward.
+    list of items received so far.  A node wakes in the next sweep while it
+    has items to forward.
     """
 
     def __init__(self, ctx, children, payload):
@@ -154,7 +155,7 @@ class _BroadcastProgram(NodeProgram):
             self.queue.append(msg)
         if self.queue and self.children:
             msg = self.queue.pop(0)
-            self.awake = bool(self.queue)
+            self.wake_at = r + 1 if self.queue else None
             return {c: msg for c in self.children}
         self.queue = []
         return {}

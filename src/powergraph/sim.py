@@ -7,16 +7,21 @@ round cannot matter, and all randomness flows from per-node streams keyed
 by (seed, node id).
 
 One rule ends a run.  Every node is stepped in sweep 0; after that a node
-is stepped only when it has mail or is `awake`.  The run ends after a
-sweep in which no node sends and none stays awake, and the engine then
-reads each node's `output`.  A sweep counts as a round if a node sent in
-it or was awake for it, and so do all sweeps before it; the last sweep,
-silent by the rule above, is thus a round only if a node was awake for it.
+is stepped only when it has mail or its timer is due: a node's `wake_at`
+names the next sweep at which it must be stepped even without mail, or is
+None.  The run ends after a sweep when no mail is in flight and no timer
+is set, and the engine then reads each node's `output`.  A sweep counts as
+a round if a node sent in it or a timer was due in it, and so do all
+sweeps before it.  So the last sweep, silent by the rule above, is a round
+only if a timer was due in it, and the sweeps the engine skips while no
+mail is in flight count as rounds because the timer it jumps to does.
 """
 
+import heapq
 import math
 import os
 import random
+from collections import defaultdict
 
 from .errors import BandwidthError, EncodingError, InputError, RoundCapError
 
@@ -116,16 +121,19 @@ class NodeProgram:
     override step() and keep `output` current.
 
     step() returns this sweep's outbox, {destination: word tuple}.  A node
-    is stepped in sweep 0, whenever it has mail, and in every sweep that
-    follows one it ends with `awake` set.  The run ends after a sweep in
-    which no node sends and none stays awake, so a program that must act
-    on a schedule stays awake until its last step, and one that holds
-    work, such as a send queue, stays awake while it does.
+    is stepped in sweep 0, whenever it has mail, and at the sweep its
+    `wake_at` names.  After each step `wake_at` must be None or a sweep
+    after the current one; the engine reads it then.  A program that acts
+    on a schedule sets `wake_at` to its next scheduled step, one that
+    holds work, such as a send queue, sets it to the next sweep while it
+    does, and one that waits only for mail leaves it None.  A step with an
+    empty inbox before `wake_at` must do nothing, since the engine does
+    not make it.
     """
 
     def __init__(self, ctx):
         self.ctx = ctx
-        self.awake = False
+        self.wake_at = None
         self.output = None
 
     def step(self, round_index, inbox):
@@ -145,6 +153,38 @@ def default_round_cap(n):
     return cap
 
 
+def post(v, outbox, mail, sweep, n, nbrs, bits, limit_words):
+    """Check node v's outbox in order and file each message as
+    mail[dest][v]; return its longest message in words.  `nbrs` is v's
+    neighbor set under CONGEST and None under CLIQUE.  The first faulty
+    message raises.  A broadcast repeats one tuple, so a message that is
+    the same object as the one before it is not checked again."""
+    word_cap = 1 << bits
+    longest = 0
+    last = None
+    for dest, msg in outbox.items():
+        if nbrs is not None:
+            if dest not in nbrs:
+                raise InputError(f"node {v} sent to non-neighbor {dest} under CONGEST")
+        elif dest not in range(n) or dest == v:
+            raise InputError(f"node {v} sent to invalid target {dest}")
+        if msg is not last:
+            last = msg
+            if not isinstance(msg, tuple):
+                raise EncodingError(f"message from {v} must be a tuple of words")
+            for w in msg:
+                if not isinstance(w, int) or not 0 <= w < word_cap:
+                    raise EncodingError(
+                        f"word {w!r} from node {v} does not fit {bits} bits"
+                    )
+            if len(msg) > limit_words:
+                raise BandwidthError(v, sweep, len(msg) * bits, limit_words * bits)
+            if len(msg) > longest:
+                longest = len(msg)
+        mail[dest][v] = msg
+    return longest
+
+
 def run(g, factory, model, seed=0, round_cap=None):
     """Execute one NodeProgram per vertex until the stop rule above holds.
 
@@ -162,55 +202,69 @@ def run(g, factory, model, seed=0, round_cap=None):
     ]
     limit_words = model.bandwidth_words
     congest = model.variant == CONGEST
-    nbr_sets = [set(a) for a in g.adj]
+    nbr_sets = [set(a) for a in g.adj] if congest else None
 
     stats = RoundStats()
-    inboxes = [{} for _ in range(n)]
+    timers = []  # heap of (sweep, node) for wakes beyond the next sweep
+    in_heap = [None] * n  # a sweep for which node v has a heap entry
+    inboxes = {}
     order = range(n)  # sweep 0 steps every node
-    was_awake = any(p.awake for p in programs)
+    timer_due = False
     sweep = 0
     while True:
         if sweep >= round_cap:
             raise RoundCapError(f"no termination within {round_cap} rounds")
-        next_inboxes = [{} for _ in range(n)]
-        sent_any = False
-        awake = []
+        mail = defaultdict(dict)
+        due = []  # nodes due in the next sweep
+        messages = 0
+        longest = 0
         for v in order:
             p = programs[v]
-            outbox = p.step(sweep, inboxes[v]) or {}
-            for dest, msg in outbox.items():
-                if congest:
-                    if dest not in nbr_sets[v]:
-                        raise InputError(
-                            f"node {v} sent to non-neighbor {dest} under CONGEST"
-                        )
-                elif not (0 <= dest < n) or dest == v:
-                    raise InputError(f"node {v} sent to invalid target {dest}")
-                if not isinstance(msg, tuple):
-                    raise EncodingError(f"message from {v} must be a tuple of words")
-                for w in msg:
-                    if not isinstance(w, int) or not (0 <= w < (1 << bits)):
-                        raise EncodingError(
-                            f"word {w!r} from node {v} does not fit {bits} bits"
-                        )
-                if len(msg) > limit_words:
-                    raise BandwidthError(v, sweep, len(msg) * bits, limit_words * bits)
-                next_inboxes[dest][v] = msg
-                stats.messages += 1
-                stats.max_message_bits = max(stats.max_message_bits, len(msg) * bits)
-                sent_any = True
-            if p.awake:
-                awake.append(v)
-        if sent_any or was_awake:
+            outbox = p.step(sweep, inboxes.get(v) or {})
+            if outbox:
+                nbrs = nbr_sets[v] if congest else None
+                size = post(v, outbox, mail, sweep, n, nbrs, bits, limit_words)
+                if size > longest:
+                    longest = size
+                messages += len(outbox)
+            t = p.wake_at
+            if t is not None:
+                if t == sweep + 1:
+                    due.append(v)
+                elif t <= sweep:
+                    raise InputError(
+                        f"node {v} set wake_at {t} in sweep {sweep}; it must be later"
+                    )
+                elif in_heap[v] != t:
+                    heapq.heappush(timers, (t, v))
+                    in_heap[v] = t
+        if messages or timer_due:
             stats.rounds = sweep + 1
-        if not (sent_any or awake):
+        if messages:
+            stats.messages += messages
+            stats.max_message_bits = max(stats.max_message_bits, longest * bits)
+
+        # the next sweep: the following one while mail is in flight or a
+        # node is due in it, else the first sweep with a live timer
+        nxt = sweep + 1
+        all_due = len(due) == n
+        while True:
+            while timers and timers[0][0] == nxt:
+                t, v = heapq.heappop(timers)
+                if in_heap[v] == t:  # else a stale or duplicate entry
+                    in_heap[v] = None
+                    if programs[v].wake_at == t:
+                        due.append(v)
+            if due or mail or not timers:
+                break
+            nxt = timers[0][0]
+        if not (due or mail):
             break
-        sweep += 1
-        inboxes = next_inboxes
-        was_awake = bool(awake)
-        if len(awake) == n:
+        sweep = nxt
+        timer_due = bool(due)
+        inboxes = mail
+        if all_due:
             order = range(n)
         else:
-            awake = set(awake)
-            order = [v for v in range(n) if inboxes[v] or v in awake]
+            order = sorted(set(due).union(mail))
     return [p.output for p in programs], stats

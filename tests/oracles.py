@@ -91,3 +91,101 @@ def random_connected_gnp(n, p, seed):
         if len(seen) == n:
             return edges
     raise RuntimeError("could not sample a connected graph")
+
+
+def sparse_connected(n, avg_degree, rng):
+    """A random recursive tree plus uniform random edges, up to
+    n * avg_degree / 2 edges in total; connected by construction."""
+    edges = {(rng.randrange(i), i) for i in range(1, n)}
+    while len(edges) < round(n * avg_degree / 2):
+        u, v = rng.randrange(n), rng.randrange(n)
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    return sorted(edges)
+
+
+def weight_classes(g, c, restrict=None):
+    """Return (w_star, {class index -> member list}) for center c.
+
+    w_star is the minimum positive weight in N(c); class i holds the
+    neighbors u with w_star * 2^i <= w(u) < w_star * 2^(i+1).  Zero-weight
+    vertices are excluded, since they are pre-added to any cover.
+    restrict, when given, intersects the class membership (e.g. with the
+    uncovered set).
+    """
+    nbrs = [u for u in g.adj[c] if g.weight(u) > 0]
+    if not nbrs:
+        return None, {}
+    w_star = min(g.weight(u) for u in nbrs)
+    if restrict is not None:
+        nbrs = [u for u in nbrs if u in restrict]
+    classes = {}
+    for u in nbrs:
+        i = 0
+        while g.weight(u) >= w_star * 2 ** (i + 1):
+            i += 1
+        classes.setdefault(i, []).append(u)
+    return w_star, classes
+
+
+def class_selectable(g, members, eps):
+    """Selection test: max weight <= (sum of weights) * eps/(1+eps)."""
+    eps = Fraction(eps)
+    if not members:
+        return False
+    w_max = max(g.weight(u) for u in members)
+    total = sum((g.weight(u) for u in members), Fraction(0))
+    return w_max <= total * eps / (1 + eps)
+
+
+def dense_run(g, factory, model, seed=0, round_cap=None):
+    """Reference for `powergraph.sim.run`: every node is stepped in every
+    sweep, mail or not, under the same stop and round-count rules.
+
+    A program whose steps with an empty inbox before its `wake_at` do
+    nothing gives the same outputs and RoundStats here as under `run`,
+    which steps only nodes with mail or a due timer.
+    """
+    from powergraph.errors import InputError, RoundCapError
+    from powergraph.sim import (
+        CONGEST, NodeContext, RoundStats, default_round_cap, post, word_bits,
+    )
+
+    n = g.n
+    bits = word_bits(n)
+    if round_cap is None:
+        round_cap = default_round_cap(n)
+    programs = [
+        factory(NodeContext(v, n, g.adj[v], model, bits, seed)) for v in range(n)
+    ]
+    congest = model.variant == CONGEST
+    stats = RoundStats()
+    inboxes = [{} for _ in range(n)]
+    timer_due = False
+    sweep = 0
+    while True:
+        if sweep >= round_cap:
+            raise RoundCapError(f"no termination within {round_cap} rounds")
+        next_inboxes = [{} for _ in range(n)]
+        sent = False
+        for v, p in enumerate(programs):
+            outbox = p.step(sweep, inboxes[v]) or {}
+            if outbox:
+                longest = post(
+                    v, outbox, next_inboxes, sweep, n,
+                    set(g.adj[v]) if congest else None, bits, model.bandwidth_words,
+                )
+                stats.messages += len(outbox)
+                stats.max_message_bits = max(stats.max_message_bits, longest * bits)
+                sent = True
+            if p.wake_at is not None and p.wake_at <= sweep:
+                raise InputError(f"node {v} set wake_at {p.wake_at} in sweep {sweep}")
+        if sent or timer_due:
+            stats.rounds = sweep + 1
+        timers = {p.wake_at for p in programs} - {None}
+        if not (sent or timers):
+            break
+        sweep += 1
+        timer_due = sweep in timers
+        inboxes = next_inboxes
+    return [p.output for p in programs], stats

@@ -34,18 +34,19 @@ from powergraph.lowerbound import (
 from powergraph.mds_distributed import estimate_2hop_counts, g2mds_logd
 from powergraph.mvc_centralized import g2mvc_53
 from powergraph.mvc_distributed import (
-    class_selectable,
     effective_epsilon,
     g2mvc_cc_voting,
     g2mvc_eps,
     g2mwvc_eps,
     phase1_unweighted,
-    weight_classes,
     weighted_phase1,
 )
 from powergraph.sim import Model, word_bits
 
-from oracles import brute_min_ds, brute_min_vc, random_connected_gnp
+from oracles import (
+    brute_min_ds, brute_min_vc, class_selectable, random_connected_gnp,
+    weight_classes,
+)
 
 EPS_GRID = (Fraction(1), Fraction(1, 2), Fraction(1, 3))
 

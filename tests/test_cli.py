@@ -417,6 +417,8 @@ class TestErrorContract:
          "InputError"),
         (("gen", "random", "--model", "gnp", "--n", "5", "--p", "3/2"),
          "InputError"),
+        (("gen", "random", "--model", "tree", "--n", "3", "--p", "abc"),
+         "InputError"),
     ])
     def test_bad_input_is_one_record(self, tmp_path, capsys, argv, error):
         files = {"not_utf8": tmp_path / "bad.txt", "p3": tmp_path / "p3.graph",

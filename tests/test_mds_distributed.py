@@ -38,6 +38,18 @@ class TestEstimateConfig:
         with pytest.raises(InputError):
             EstimateConfig(eps_est=0)
 
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_samples_must_be_positive(self, samples):
+        with pytest.raises(InputError):
+            EstimateConfig(samples=samples)
+
+    def test_one_sample_is_enough(self):
+        est, exact, stats = estimate_2hop_counts(
+            path(3), {0, 2}, EstimateConfig(samples=1, exact_threshold=1)
+        )
+        assert est == [2, 2, 2] and exact == [False] * 3
+        assert (stats.rounds, stats.messages) == (4, 10)
+
     def test_defaults_resolve(self):
         cfg = EstimateConfig()
         r, t = cfg.resolve(100)

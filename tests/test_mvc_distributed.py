@@ -3,24 +3,26 @@ from fractions import Fraction
 
 import pytest
 
+from powergraph import mvc_distributed
 from powergraph.errors import ConnectivityError, EncodingError, InputError
 from powergraph.exact import exact_mvc
 from powergraph.graph import VC2, Graph, is_feasible, square
 from powergraph.mvc_distributed import (
     build_H_from_F,
-    class_selectable,
     effective_epsilon,
     g2mvc_cc_voting,
     g2mvc_eps,
     g2mvc_trivial,
     g2mwvc_eps,
     phase1_unweighted,
-    weight_classes,
     weighted_phase1,
 )
-from powergraph.sim import CLIQUE, CONGEST, Model
+from powergraph.sim import CLIQUE, CONGEST, Model, run
 
-from oracles import brute_min_vc, random_connected_gnp
+from oracles import (
+    brute_min_vc, class_selectable, random_connected_gnp, sparse_connected,
+    weight_classes,
+)
 from test_graph import complete, cycle, path, star
 
 
@@ -61,6 +63,22 @@ class TestBuildHFromF:
             assert list(h.edges()) == expected
 
 
+def _assert_phase1_invariants(g, l, S, outs):
+    """After Phase I every vertex has at most l uncovered neighbors, and
+    S splits into batches of more than l neighbors of a fired center."""
+    U = set(range(g.n)) - S
+    batches = {}
+    for v in range(g.n):
+        assert outs[v]["u_nbrs"] == frozenset(g.adj[v]) & U
+        assert len(outs[v]["u_nbrs"]) <= l
+        if v in S:
+            batches.setdefault(outs[v]["joined_center"], []).append(v)
+    for center, members in batches.items():
+        assert center is not None and outs[center]["fired"]
+        assert all(center in g.adj[v] for v in members)
+        assert len(members) >= l + 1
+
+
 class TestPhase1Unweighted:
     def test_few_uncovered_neighbors_afterwards(self):
         rng = random.Random(8)
@@ -70,10 +88,7 @@ class TestPhase1Unweighted:
             for eps in (1, Fraction(1, 2), Fraction(1, 3)):
                 l, _ = effective_epsilon(eps)
                 S, outs, _ = phase1_unweighted(g, eps)
-                U = set(range(n)) - S
-                for v in range(n):
-                    assert outs[v]["u_nbrs"] == frozenset(g.adj[v]) & U
-                    assert len(outs[v]["u_nbrs"]) <= l
+                _assert_phase1_invariants(g, l, S, outs)
 
     def test_batches_have_more_than_l_vertices(self):
         rng = random.Random(17)
@@ -83,12 +98,35 @@ class TestPhase1Unweighted:
             eps = Fraction(1, 2)
             l, _ = effective_epsilon(eps)
             S, outs, _ = phase1_unweighted(g, eps)
-            batches = {}
-            for v in S:
-                batches.setdefault(outs[v]["joined_center"], []).append(v)
-            for center, members in batches.items():
-                assert center is not None
-                assert len(members) >= l + 1
+            _assert_phase1_invariants(g, l, S, outs)
+
+    def test_three_thousand_vertices_sleep_through_the_schedule(self, monkeypatch):
+        # host cost follows the messages, not n times the 4 * i_max sweeps
+        g = Graph(3000, sparse_connected(3000, 3, random.Random(3000)))
+        l, _ = effective_epsilon(Fraction(1, 2))
+        i_max = g.n // (l + 1) + 1
+        steps = 0
+
+        def counting_run(g, factory, *args, **kwargs):
+            def counted(ctx):
+                prog = factory(ctx)
+                step = prog.step
+
+                def counted_step(r, inbox):
+                    nonlocal steps
+                    steps += 1
+                    return step(r, inbox)
+
+                prog.step = counted_step
+                return prog
+
+            return run(g, counted, *args, **kwargs)
+
+        monkeypatch.setattr(mvc_distributed, "run", counting_run)
+        S, outs, stats = phase1_unweighted(g, Fraction(1, 2))
+        assert stats.rounds == 4 * i_max + 1
+        assert steps <= stats.messages + 2 * g.n
+        _assert_phase1_invariants(g, l, S, outs)
 
     def test_low_degree_graph_fires_nothing(self):
         S, _, _ = phase1_unweighted(cycle(5), Fraction(1, 2))
@@ -129,14 +167,7 @@ class TestG2MvcEps:
     def test_sparse_graph_of_a_thousand_vertices(self):
         # a random tree plus random edges, average degree 3: H = G^2[U]
         # has over 64 active vertices, in components of a few dozen
-        rng = random.Random(1000)
-        n = 1000
-        edges = {(rng.randrange(i), i) for i in range(1, n)}
-        while len(edges) < 3 * n // 2:
-            u, v = rng.randrange(n), rng.randrange(n)
-            if u != v:
-                edges.add((min(u, v), max(u, v)))
-        g = Graph(n, sorted(edges))
+        g = Graph(1000, sparse_connected(1000, 3, random.Random(1000)))
         sol, _ = g2mvc_eps(g, Fraction(1, 2), seed=1)
         assert is_feasible(g, VC2, sol.members)
 

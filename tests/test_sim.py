@@ -1,15 +1,25 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from powergraph import mds_distributed, mvc_distributed, protocols
 from powergraph.errors import (
     BandwidthError,
     ConnectivityError,
     EncodingError,
     InputError,
+    PowerGraphError,
     RoundCapError,
 )
 from powergraph.graph import Graph
-from powergraph.mds_distributed import estimate_2hop_counts, g2mds_logd
-from powergraph.mvc_distributed import weighted_phase1
+from powergraph.mds_distributed import (
+    EstimateConfig, estimate_2hop_counts, g2mds_logd,
+)
+from powergraph.mvc_distributed import (
+    g2mvc_cc_voting, phase1_unweighted, weighted_phase1,
+)
 from powergraph.protocols import (
     elect_leader_bfs,
     exchange,
@@ -27,6 +37,7 @@ from powergraph.sim import (
     word_bits,
 )
 
+from oracles import dense_run
 from test_graph import complete, cycle, path, star
 
 
@@ -38,7 +49,7 @@ class BroadcastOnce(NodeProgram):
 
 
 class HaltImmediately(NodeProgram):
-    """Never awake and never sends: only sweep 0 steps it."""
+    """Sets no timer and never sends: only sweep 0 steps it."""
 
     def step(self, r, inbox):
         return {}
@@ -49,13 +60,13 @@ class EchoTwoRounds(NodeProgram):
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.awake = True
+        self.wake_at = 1
 
     def step(self, r, inbox):
         if r == 0:
             return {u: (self.ctx.node,) for u in self.ctx.neighbors}
         self.output = sorted(msg[0] for msg in inbox.values())
-        self.awake = False
+        self.wake_at = None
         return {}
 
 
@@ -109,10 +120,36 @@ class TestRun:
         with pytest.raises(EncodingError):
             run(path(3), BigWord, Model(CONGEST))
 
+    @pytest.mark.parametrize("outbox,error,text", [
+        ({1: (1 << 30,), 2: (0,) * 9}, EncodingError,
+         "word 1073741824 from node 0 does not fit 2 bits"),
+        ({1: (0,) * 9, 2: (1 << 30,)}, BandwidthError,
+         "node 0 sent 18 bits in round 0 (limit 16 bits)"),
+        ({1: (1 << 30,) + (0,) * 8}, EncodingError,
+         "word 1073741824 from node 0 does not fit 2 bits"),
+        ({1: [0], 2: (0,) * 9}, EncodingError,
+         "message from 0 must be a tuple of words"),
+        ({1: (0,) * 9, 5: (0,)}, BandwidthError,
+         "node 0 sent 18 bits in round 0 (limit 16 bits)"),
+        ({5: (0,), 1: (0,) * 9}, InputError,
+         "node 0 sent to non-neighbor 5 under CONGEST"),
+    ], ids=["word-then-oversize", "oversize-then-word", "word-in-oversize",
+            "list-then-oversize", "oversize-then-stranger",
+            "stranger-then-oversize"])
+    def test_first_fault_in_outbox_order_is_reported(self, outbox, error, text):
+        class Bad(NodeProgram):
+            def step(self, r, inbox):
+                return dict(outbox) if self.ctx.node == 0 else {}
+
+        with pytest.raises(PowerGraphError) as caught:
+            run(complete(3), Bad, Model(CONGEST))
+        assert type(caught.value) is error
+        assert str(caught.value) == text
+
     def test_round_cap(self):
         class Forever(NodeProgram):
             def step(self, r, inbox):
-                self.awake = True
+                self.wake_at = r + 1
                 return {}
 
         with pytest.raises(RoundCapError):
@@ -121,7 +158,7 @@ class TestRun:
     def test_round_cap_env_override(self, monkeypatch):
         class Forever(NodeProgram):
             def step(self, r, inbox):
-                self.awake = True
+                self.wake_at = r + 1
                 return {}
 
         monkeypatch.setenv("POWERGRAPH_ROUND_CAP", "5")
@@ -190,6 +227,104 @@ class TestWake:
                 assert senders == sorted(senders)
         assert outputs[0][2] == (2, [1, 3, 5])
         assert [len(steps) for steps in outputs] == [3, 2, 2, 2, 2, 2, 2]
+
+    class Timer(NodeProgram):
+        """Records its steps.  The last node sets the wakes in `plan`, which
+        maps a sweep to the wake set then; node 0 mails node 1 in sweep 0."""
+
+        plan = {0: 10}
+
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            self.output = []
+
+        def step(self, r, inbox):
+            self.output.append(r)
+            if self.ctx.node == self.ctx.n - 1:
+                self.wake_at = self.plan.get(r)
+            if r == 0 and self.ctx.node == 0 and self.ctx.n > 1:
+                return {1: (1,)}
+            return {}
+
+    def test_lone_timer_skips_silent_sweeps_and_counts_them(self):
+        outputs, stats = run(Graph(1, []), self.Timer, Model(CONGEST))
+        assert outputs == [[0, 10]]
+        assert stats.rounds == 11
+        assert stats.messages == 0
+
+    @pytest.mark.parametrize("plan,steps", [
+        ({0: 5, 1: 10}, [0, 1, 10]),  # moved later: no step at sweep 5
+        ({0: 10, 1: 5}, [0, 1, 5]),  # moved earlier: no step at sweep 10
+    ])
+    def test_rescheduled_timer_is_not_stepped_at_its_stale_sweep(
+        self, plan, steps
+    ):
+        prog = type("Moved", (self.Timer,), {"plan": plan})
+        outputs, stats = run(path(2), prog, Model(CONGEST))
+        assert outputs == [[0], steps]
+        assert stats.rounds == steps[-1] + 1
+
+    @pytest.mark.parametrize("when", [3, 0])
+    def test_wake_not_after_current_sweep_rejected(self, when):
+        prog = type("Late", (self.Timer,), {"plan": {0: 3, 3: when}})
+        with pytest.raises(InputError):
+            run(Graph(1, []), prog, Model(CONGEST))
+
+    def test_far_timer_hits_round_cap_without_stepping_through(self):
+        prog = type("Far", (self.Timer,), {"plan": {0: 10**9}})
+        with pytest.raises(RoundCapError):
+            run(Graph(1, []), prog, Model(CONGEST), round_cap=10**8)
+
+
+@st.composite
+def small_connected_graphs(draw):
+    """A random tree on at most 12 vertices plus random extra edges, with
+    weights in 0..8."""
+    n = draw(st.integers(1, 12))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    ids = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(ids, ids), max_size=2 * n)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    weights = {v: draw(st.integers(0, 8)) for v in range(n)}
+    return Graph(n, sorted(edges)), Graph(n, sorted(edges), weights=weights)
+
+
+class TestSleepingIsSound:
+    """Stepping every node in every sweep changes nothing: a node the
+    engine lets sleep would have done nothing with an empty inbox."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(graphs=small_connected_graphs(), seed=st.integers(0, 3),
+           variant=st.sampled_from([CONGEST, CLIQUE]),
+           sampled=st.booleans())
+    def test_dense_engine_agrees(self, graphs, seed, variant, sampled):
+        g, gw = graphs
+        model = Model(variant)
+        cfg = EstimateConfig(samples=8, exact_threshold=1 if sampled else None)
+        U = set(range(0, g.n, 2))
+        calls = [
+            lambda: phase1_unweighted(g, Fraction(1, 2), model, seed=seed),
+            lambda: weighted_phase1(gw, Fraction(1, 2), model, seed=seed),
+            lambda: estimate_2hop_counts(g, U, cfg, seed=seed, model=model),
+            lambda: g2mds_logd(g, seed=seed, cfg=cfg, model=model),
+        ]
+        if variant == CLIQUE:
+            calls.append(
+                lambda: g2mvc_cc_voting(g, Fraction(1, 2), seed=seed, model=model)
+            )
+
+        def results():
+            return [
+                [getattr(x, "members", x) for x in call()] for call in calls
+            ]
+
+        woken = results()
+        with pytest.MonkeyPatch.context() as m:
+            for module in (mvc_distributed, mds_distributed, protocols):
+                m.setattr(module, "run", dense_run)
+            dense = results()
+        assert repr(woken) == repr(dense)
 
 
 class TestWords:
