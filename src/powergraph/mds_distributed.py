@@ -8,14 +8,17 @@ vote for their best candidate.  Candidates that attract at least an eighth
 of their estimated coverage join the dominating set.
 
 Cardinality estimation follows the minimum-of-exponentials scheme: every
-uncovered vertex draws r exponential samples, two relay-min rounds spread
-the per-sample minima over the 2-hop neighborhood, and r divided by the
-summed minima estimates the count.  Low-degree neighborhoods skip the
+uncovered vertex draws r exponential samples, a chunk at a time as the
+bandwidth allows, and two relay-min rounds per chunk spread the per-sample
+minima over the 2-hop neighborhood.  The minima are folded in word form,
+as they arrive, and each vertex keeps only their running sum: r divided
+by that sum estimates the count.  Low-degree neighborhoods skip the
 sampling entirely and count exactly from explicitly forwarded edges.
 """
 
 import math
 from fractions import Fraction
+from itertools import chain
 
 from .errors import InputError, RoundCapError
 from .graph import DS2, make_solution
@@ -77,85 +80,80 @@ class _EdgeStreamProgram(NodeProgram):
         if self.queue:
             item = self.queue.pop(0)
             self.wake_at = r + 1 if self.queue else None
-            return {u: item for u in self.ctx.neighbors}
+            return dict.fromkeys(self.ctx.neighbors, item)
         return {}
 
 
-# Samples travel as two words each.  These run on every estimator message,
-# so they stay specialised: per four-sample message, sim.from_words over
-# two-word slices took 1.6 times as long to decode, and summed
-# sim.to_words tuples 7.7 times as long to encode (Python 3.11).
-
-def _pack_samples(vals, bits):
-    mask = (1 << bits) - 1
-    out = []
-    for v in vals:
-        out.extend((v >> bits, v & mask))
-    return tuple(out)
-
-
-def _unpack_samples(msg, bits):
-    return [(msg[2 * i] << bits) | msg[2 * i + 1] for i in range(len(msg) // 2)]
-
-
 class _SampleMinProgram(NodeProgram):
-    """Two relay-min sweeps per chunk of fixed-point samples.  A node with
-    nothing to report for a chunk stays silent; a missing per-chunk
-    minimum therefore means no sample-holder within two hops.  A node
-    wakes at every chunk boundary, and in between only while it holds a
-    running minimum to rebroadcast."""
+    """Two relay-min sweeps per chunk of fixed-point samples, folded in
+    word form.  A sample travels as two words, most significant first, so
+    the least (hi, lo) pair is the least sample: each step takes the
+    per-sample minimum of the running best and every inbox message at
+    once, without decoding either, and rebroadcasts it.  A node in U draws
+    a chunk's samples from its own stream when the chunk starts.  A node
+    with nothing to report for a chunk stays silent; its output is the sum
+    of all per-sample minima, or None if some chunk had no sample-holder
+    within two hops.  A node wakes at every chunk boundary, and in between
+    only while it holds a running minimum to rebroadcast."""
 
-    def __init__(self, ctx, chunks):
+    def __init__(self, ctx, rng, samples, frac_bits):
         super().__init__(ctx)
-        self.chunks = chunks  # per-chunk word tuple, or None if not in U
-        self.mins = []  # per chunk: list of per-sample minima, or None
-        self.stage_best = None
+        self.rng = rng  # this node's sample stream, or None if not in U
+        self.left = samples  # samples in the chunks still to come
+        self.per_chunk = ctx.model.bandwidth_words // 2
+        self.frac_bits = frac_bits
+        self.best = None  # running per-sample minima as words, or None
+        self.hi = self.lo = 0  # summed high and low words; hi None if missing
 
-    def _fold(self, best, inbox):
-        bits = self.ctx.word_bits
-        for msg in inbox.values():
-            vals = _unpack_samples(msg, bits)
-            if best is None:
-                best = vals
-            else:
-                best = [min(a, b) for a, b in zip(best, vals)]
-        return best
+    def _fold(self, inbox):
+        msgs = list(inbox.values())
+        if self.best is not None:
+            msgs.append(self.best)
+        if len(msgs) < 2:  # map(min, pairs) would reduce within each pair
+            return msgs[0] if msgs else None
+        # zip(i, i) reads i left to right: one (hi, lo) pair per sample
+        pairs = [zip(i, i) for i in map(iter, msgs)]
+        return tuple(chain.from_iterable(map(min, *pairs)))
 
     def step(self, r, inbox):
-        chunk, sweep = r // 2, r % 2
-        if sweep == 0:
-            if chunk > 0:  # close out the previous chunk
-                self.mins.append(self._fold(self.stage_best, inbox))
-            if chunk == len(self.chunks):
-                self.wake_at = None
-                self.output = self.mins
-                return {}
-            own = self.chunks[chunk]
-            if own is None:
-                self.stage_best = None
-                self.wake_at = r + 2
-                return {}
-            self.stage_best = _unpack_samples(own, self.ctx.word_bits)
+        if r % 2:  # fold neighbor draws, rebroadcast the running minimum
+            self.best = self._fold(inbox)
             self.wake_at = r + 1
-            return {u: own for u in self.ctx.neighbors}
-        # sweep 1: fold neighbor draws, rebroadcast the running minimum
-        best = self._fold(self.stage_best, inbox)
-        self.stage_best = best
-        self.wake_at = r + 1
-        if best is None:
+            if self.best is None:
+                return {}
+            return dict.fromkeys(self.ctx.neighbors, self.best)
+        if r > 0:  # close out the previous chunk
+            best = self._fold(inbox)
+            if best is None:
+                self.hi = None
+            elif self.hi is not None:
+                self.hi += sum(best[::2])
+                self.lo += sum(best[1::2])
+        if not self.left:
+            self.wake_at = None
+            if self.hi is not None:
+                self.output = (self.hi << self.ctx.word_bits) + self.lo
             return {}
-        msg = _pack_samples(best, self.ctx.word_bits)
-        return {u: msg for u in self.ctx.neighbors}
+        count = min(self.left, self.per_chunk)
+        self.left -= count
+        if self.rng is None:
+            self.best = None
+            self.wake_at = r + 2
+            return {}
+        self.best = _draw_words(self.rng, count, self.frac_bits, self.ctx.word_bits)
+        self.wake_at = r + 1
+        return dict.fromkeys(self.ctx.neighbors, self.best)
 
 
-def _draw_samples(rng, count, frac_bits, max_val):
-    """Inverse-CDF exponentials, rounded to fixed point and clamped."""
-    vals = []
+def _draw_words(rng, count, frac_bits, bits):
+    """Inverse-CDF exponentials, rounded to fixed point and clamped to
+    [1, 2^(2 bits) - 1], as two words each, most significant first."""
+    scale, top, base = 1 << frac_bits, (1 << 2 * bits) - 1, 1 << bits
+    words = []
     for _ in range(count):
-        x = -math.log(1.0 - rng.random())
-        q = round(x * (1 << frac_bits))
-        vals.append(min(max(q, 1), max_val))
-    return vals
+        q = round(-math.log(1.0 - rng.random()) * scale)
+        words += divmod(min(max(q, 1), top), base)
+    return tuple(words)
 
 
 def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
@@ -213,40 +211,19 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
         return estimates, exact, stats
 
     # stage 3: minimum-of-exponentials for the rest
-    bits = word_bits(n)
-    total_bits = 2 * bits
-    frac_bits = max(1, total_bits - 5)  # 5 integer bits
-    max_val = (1 << total_bits) - 1
-    per_chunk = model.bandwidth_words // 2
-    n_chunks = -(-r // per_chunk)
-
-    draws = {}
-    for v in sorted(U):
-        rng = node_rng(seed, v, salt=0x5EED)
-        draws[v] = _draw_samples(rng, r, frac_bits, max_val)
+    frac_bits = max(1, 2 * word_bits(n) - 5)  # 5 integer bits
 
     def sample_factory(ctx):
-        chunks = [None] * n_chunks
-        if ctx.node in draws:
-            own = draws[ctx.node]
-            chunks = [
-                _pack_samples(own[c * per_chunk : (c + 1) * per_chunk], bits)
-                for c in range(n_chunks)
-            ]
-        return _SampleMinProgram(ctx, chunks)
+        rng = node_rng(seed, ctx.node, salt=0x5EED) if ctx.node in U else None
+        return _SampleMinProgram(ctx, rng, r, frac_bits)
 
-    mins, st = run(g, sample_factory, model, seed=seed)
+    sums, st = run(g, sample_factory, model, seed=seed)
     stats.add(st)
 
     for v in range(n):
-        if exact[v]:
-            continue
-        if any(chunk is None for chunk in mins[v]):
-            estimates[v] = Fraction(0)  # no uncovered vertex within 2 hops
-            continue
-        vals = [x for chunk in mins[v] for x in chunk][:r]
-        total = Fraction(sum(vals), 1 << frac_bits)
-        estimates[v] = Fraction(len(vals)) / total if total else Fraction(0)
+        # a missing sum: no uncovered vertex within 2 hops
+        if not exact[v] and sums[v] is not None:
+            estimates[v] = Fraction(r << frac_bits, sums[v])
     return estimates, exact, stats
 
 
@@ -289,7 +266,7 @@ class _RelayBestProgram(NodeProgram):
             return {}
         if self.dirty and self.best is not None:
             self.dirty = False
-            return {u: self.best for u in self.ctx.neighbors}
+            return dict.fromkeys(self.ctx.neighbors, self.best)
         return {}
 
 
@@ -354,12 +331,12 @@ class _CoverFloodProgram(NodeProgram):
     def step(self, r, inbox):
         if r == 0:
             if self.is_winner:
-                return {u: (1,) for u in self.ctx.neighbors}
+                return dict.fromkeys(self.ctx.neighbors, (1,))
             return {}
         if r == 1:
             if inbox:
                 self.covered = True
-                return {u: (1,) for u in self.ctx.neighbors}
+                return dict.fromkeys(self.ctx.neighbors, (1,))
             return {}
         if inbox:
             self.covered = True

@@ -55,7 +55,7 @@ class _Phase1Program(NodeProgram):
         self.joined_center = None
 
     def _bcast(self, msg):
-        return {u: msg for u in self.ctx.neighbors}
+        return dict.fromkeys(self.ctx.neighbors, msg)
 
     def step(self, r, inbox):
         phase, it = r % 4, r // 4
@@ -275,7 +275,7 @@ class _WeightedPassProgram(NodeProgram):
         self.selected_any = False
 
     def _bcast(self, msg):
-        return {u: msg for u in self.ctx.neighbors}
+        return dict.fromkeys(self.ctx.neighbors, msg)
 
     def step(self, r, inbox):
         own, end = 2 * self.ctx.node, 2 * self.ctx.n
@@ -462,13 +462,13 @@ class _VotingProgram(NodeProgram):
             return {}
         if s == 2:
             if self.is_cand and len(inbox) >= Fraction(self.declared_dr, 8):
-                return {u: (1,) for u in ctx.neighbors}
+                return dict.fromkeys(ctx.neighbors, (1,))
             return {}
         # s == 3: join the cover next to a successful candidate
         if inbox and self.in_R:
             self.in_R = False
             self.in_cover = True
-            return {u: (1,) for u in ctx.neighbors}
+            return dict.fromkeys(ctx.neighbors, (1,))
         return {}
 
     def _gather_init(self):

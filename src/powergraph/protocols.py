@@ -18,7 +18,7 @@ class _ExchangeProgram(NodeProgram):
     def step(self, r, inbox):
         self.output.update(inbox)
         if r == 0:
-            return {u: self.msg for u in self.ctx.neighbors}
+            return dict.fromkeys(self.ctx.neighbors, self.msg)
         return {}
 
 
@@ -49,7 +49,7 @@ class _BfsFloodProgram(NodeProgram):
             return {}
         self.dirty = False
         msg = (best, depth)
-        return {u: msg for u in self.ctx.neighbors}
+        return dict.fromkeys(self.ctx.neighbors, msg)
 
 
 def elect_leader_bfs(g, model=None, seed=0):

@@ -5,6 +5,7 @@ so that expected values do not depend on the package's own solvers.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -102,6 +103,37 @@ def sparse_connected(n, avg_degree, rng):
         if u != v:
             edges.add((min(u, v), max(u, v)))
     return sorted(edges)
+
+
+def sampled_2hop_estimates(g, U, r, seed):
+    """Minimum-of-exponentials estimates of |N2[v] & U|, computed centrally.
+
+    Each u in U draws r exponentials from random.Random((seed << 32) ^
+    0x5EED ^ u), rounded to fixed point with 2 * ceil(log2(n + 1)) - 5
+    fraction bits (at least 1) and clamped to [1, 2^(2 bits) - 1].  v's
+    estimate is r divided by the sum over samples of the least draw within
+    two hops, or 0 when no vertex of U is within two hops.
+    """
+    bits = max(1, math.ceil(math.log2(g.n + 1)))
+    frac = max(1, 2 * bits - 5)
+    top = 2 ** (2 * bits) - 1
+    draws = {}
+    for u in U:
+        rng = random.Random((int(seed) << 32) ^ 0x5EED ^ u)
+        draws[u] = [
+            min(max(round(math.ldexp(-math.log(1.0 - rng.random()), frac)), 1), top)
+            for _ in range(r)
+        ]
+    out = []
+    for v in range(g.n):
+        ball = {v}.union(g.adj[v], *(g.adj[u] for u in g.adj[v]))
+        holders = ball & set(U)
+        if not holders:
+            out.append(Fraction(0))
+            continue
+        total = sum(min(draws[u][i] for u in holders) for i in range(r))
+        out.append(Fraction(r * 2 ** frac, total))
+    return out
 
 
 def weight_classes(g, c, restrict=None):

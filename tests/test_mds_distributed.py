@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -12,8 +13,11 @@ from powergraph.mds_distributed import (
     estimate_2hop_counts,
     g2mds_logd,
 )
+from powergraph.sim import CLIQUE, CONGEST, Model
 
-from oracles import brute_min_ds, random_connected_gnp
+from oracles import (
+    brute_min_ds, random_connected_gnp, sampled_2hop_estimates, sparse_connected,
+)
 from test_graph import complete, cycle, path, star
 
 
@@ -25,6 +29,14 @@ def two_hop_counts(g, U):
             reach.update(g.adj[u])
         counts.append(len(reach & U))
     return counts
+
+
+def hub_graph(n, rng):
+    """A sparse connected graph with one random vertex joined to all others."""
+    edges = set(sparse_connected(n, 3, rng))
+    h = rng.randrange(n)
+    edges |= {(min(h, v), max(h, v)) for v in range(n) if v != h}
+    return Graph(n, sorted(edges))
 
 
 def harmonic(k):
@@ -128,6 +140,46 @@ class TestSampledEstimation:
             estimate_2hop_counts(
                 path(3), {0, 1, 2}, model=Model(CONGEST, bandwidth_words=1)
             )
+
+
+class TestSampledAgainstOracle:
+    @pytest.mark.parametrize("variant", [CONGEST, CLIQUE])
+    @pytest.mark.parametrize("bandwidth", [2, 3, 8, 9])
+    @pytest.mark.parametrize("samples", [1, 7, 50])
+    def test_every_sampled_estimate_matches(self, variant, bandwidth, samples):
+        # bandwidth 3 and 9 leave a word unused; 7 and 50 samples leave a
+        # partial last chunk at some bandwidths.  Every other graph has a
+        # hub (G^2 complete); exact_threshold=1 samples every count.
+        rng = random.Random(1000 * bandwidth + samples)
+        model = Model(variant, bandwidth_words=bandwidth)
+        cfg = EstimateConfig(samples=samples, exact_threshold=1)
+        for i, n in enumerate((6, 9, 14, 20, 27, 35, 44, 52, 60)):
+            if i % 2 == 0:
+                g = hub_graph(n, rng)
+            else:
+                g = Graph(n, sparse_connected(n, 2.5, rng))
+            density = rng.random()
+            U = {v for v in range(n) if rng.random() < density}
+            est, exact, _ = estimate_2hop_counts(g, U, cfg, seed=i, model=model)
+            assert not any(exact)
+            assert est == sampled_2hop_estimates(g, U, samples, seed=i)
+
+
+class TestSampledCostPinned:
+    def test_default_config_on_a_hub_graph(self):
+        # 1,307 samples, 327 chunks of four under the default 8 words
+        rng = random.Random(30)
+        g = hub_graph(30, rng)
+        U = {v for v in range(30) if rng.random() < 0.5}
+        est, exact, stats = estimate_2hop_counts(g, U, seed=3)
+        assert len(U) == 12 and not any(exact)
+        assert (stats.rounds, stats.messages, stats.max_message_bits) == (
+            664, 54285, 40
+        )
+        digest = hashlib.sha256(repr(est).encode()).hexdigest()
+        assert digest == (
+            "ddea6bdf948715f2b111ef4e8349f364127d170935bb438f8cd124a6b4dc579f"
+        )
 
 
 class TestG2MdsLogd:

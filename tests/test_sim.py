@@ -279,14 +279,16 @@ class TestWake:
 @st.composite
 def small_connected_graphs(draw):
     """A random tree on at most 12 vertices plus random extra edges, with
-    weights in 0..8."""
+    weights in 0..8 that fit the two words weighted Phase I sends each in
+    (at n=1 a word is 1 bit, so weights stay below 4)."""
     n = draw(st.integers(1, 12))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     ids = st.integers(0, n - 1)
     for u, v in draw(st.lists(st.tuples(ids, ids), max_size=2 * n)):
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    weights = {v: draw(st.integers(0, 8)) for v in range(n)}
+    top = min(8, 4 ** word_bits(n) - 1)
+    weights = {v: draw(st.integers(0, top)) for v in range(n)}
     return Graph(n, sorted(edges)), Graph(n, sorted(edges), weights=weights)
 
 
@@ -297,16 +299,21 @@ class TestSleepingIsSound:
     @settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @given(graphs=small_connected_graphs(), seed=st.integers(0, 3),
            variant=st.sampled_from([CONGEST, CLIQUE]),
-           sampled=st.booleans())
-    def test_dense_engine_agrees(self, graphs, seed, variant, sampled):
+           sampled=st.booleans(), samples=st.sampled_from([1, 3, 8]),
+           bandwidth=st.sampled_from([2, 3, 8]))
+    def test_dense_engine_agrees(self, graphs, seed, variant, sampled, samples,
+                                 bandwidth):
+        # At 2 and 3 words a chunk holds one sample; at 8 words 1 and 3
+        # samples leave a partial last chunk.  The other calls need 8 words.
         g, gw = graphs
         model = Model(variant)
-        cfg = EstimateConfig(samples=8, exact_threshold=1 if sampled else None)
+        cfg = EstimateConfig(samples=samples, exact_threshold=1 if sampled else None)
         U = set(range(0, g.n, 2))
+        est_model = Model(variant, bandwidth_words=bandwidth)
         calls = [
             lambda: phase1_unweighted(g, Fraction(1, 2), model, seed=seed),
             lambda: weighted_phase1(gw, Fraction(1, 2), model, seed=seed),
-            lambda: estimate_2hop_counts(g, U, cfg, seed=seed, model=model),
+            lambda: estimate_2hop_counts(g, U, cfg, seed=seed, model=est_model),
             lambda: g2mds_logd(g, seed=seed, cfg=cfg, model=model),
         ]
         if variant == CLIQUE:
