@@ -49,23 +49,19 @@ LB_FAMILIES = {
     "mds-sq-approx": ("set", gen_mds_square_approx_unweighted),
 }
 
-ALGOS = (
-    "g2mvc-eps", "g2mwvc-eps", "g2mvc-trivial", "g2mvc-cc",
-    "g2mvc-53", "g2mvc-hybrid", "g2mds-logd", "exact-mvc2", "exact-mds2",
-)
-
-DS_ALGOS = {"g2mds-logd", "exact-mds2"}
-DEFAULT_MODEL = {
-    "g2mvc-eps": CONGEST,
-    "g2mwvc-eps": CONGEST,
-    "g2mvc-trivial": CENTRAL,
-    "g2mvc-cc": CLIQUE,
-    "g2mvc-53": CENTRAL,
-    "g2mvc-hybrid": CONGEST,
-    "g2mds-logd": CONGEST,
-    "exact-mvc2": CENTRAL,
-    "exact-mds2": CENTRAL,
+# name: (default model, solution kind, needs --eps)
+ALGORITHMS = {
+    "g2mvc-eps": (CONGEST, VC2, True),
+    "g2mwvc-eps": (CONGEST, VC2, True),
+    "g2mvc-trivial": (CENTRAL, VC2, False),
+    "g2mvc-cc": (CLIQUE, VC2, True),
+    "g2mvc-53": (CENTRAL, VC2, False),
+    "g2mvc-hybrid": (CONGEST, VC2, False),
+    "g2mds-logd": (CONGEST, DS2, False),
+    "exact-mvc2": (CENTRAL, VC2, False),
+    "exact-mds2": (CENTRAL, DS2, False),
 }
+ALGOS = tuple(ALGORITHMS)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -178,11 +174,11 @@ def _value_json(value):
 
 def _execute(algo, g, sq, eps, seed, model_name):
     """Run one algorithm; sq is square(g).  Returns (solution, stats)."""
-    needs_eps = algo in ("g2mvc-eps", "g2mwvc-eps", "g2mvc-cc")
+    default_model, _, needs_eps = ALGORITHMS[algo]
     if needs_eps and eps is None:
         raise InputError(f"--eps is required for {algo}")
     if model_name == CENTRAL:
-        if algo not in ("g2mvc-trivial", "g2mvc-53", "exact-mvc2", "exact-mds2"):
+        if default_model != CENTRAL:
             raise InputError(f"{algo} needs a message-passing model")
         if algo == "g2mvc-trivial":
             return g2mvc_trivial(g), RoundStats()
@@ -210,13 +206,13 @@ def _execute(algo, g, sq, eps, seed, model_name):
 
 def run_report(algo, g, eps=None, seed=0, model_name=None, with_opt=False,
                timing=False):
+    default_model, kind, _ = ALGORITHMS[algo]
     if model_name is None:
-        model_name = DEFAULT_MODEL[algo]
+        model_name = default_model
     sq = square(g)
     start = time.perf_counter()
     sol, stats = _execute(algo, g, sq, eps, seed, model_name)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
-    kind = DS2 if algo in DS_ALGOS else VC2
     report = {
         "algo": algo,
         "model": model_name,

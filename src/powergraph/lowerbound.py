@@ -189,23 +189,28 @@ def _pairs(k, bits, keep):
             if bits[(i - 1) * k + (j - 1)] == keep]
 
 
-def _mvc_fixed_edges(k):
-    """Bit-gadget-incident edges and clique edges of the base VC family."""
+def _bit_edges(k, ring, one, zero):
+    """Bit-gadget-incident edges: per row set and bit j, a cycle through
+    the gadget vertices `ring` names in order, then each row vertex i
+    joined on its side to the `one` vertex of bit j if bit j of i - 1 is
+    set, else to the `zero` vertex."""
     log_k = k.bit_length() - 1
-    bit_edges = []
+    edges = []
     for s, arow, brow in _ROW_SETS:
         for j in range(1, log_k + 1):
-            ta, fa = f"tA{s}_{j}", f"fA{s}_{j}"
-            tb, fb = f"tB{s}_{j}", f"fB{s}_{j}"
-            bit_edges += [(ta, fa), (fa, tb), (tb, fb), (fb, ta)]
+            cycle = [f"{name}{s}_{j}" for name in ring]
+            edges += zip(cycle, cycle[1:] + cycle[:1])
         for i in range(1, k + 1):
             for j in range(1, log_k + 1):
-                bit_edges.append(
-                    (f"{arow}_{i}", f"tA{s}_{j}" if _bit(i, j) else f"fA{s}_{j}")
-                )
-                bit_edges.append(
-                    (f"{brow}_{i}", f"tB{s}_{j}" if _bit(i, j) else f"fB{s}_{j}")
-                )
+                letter = one if _bit(i, j) else zero
+                edges.append((f"{arow}_{i}", f"{letter}A{s}_{j}"))
+                edges.append((f"{brow}_{i}", f"{letter}B{s}_{j}"))
+    return edges
+
+
+def _mvc_fixed_edges(k):
+    """Bit-gadget-incident edges and clique edges of the base VC family."""
+    bit_edges = _bit_edges(k, ("tA", "fA", "tB", "fB"), "t", "f")
     clique_edges = []
     for row in ("a1", "a2", "b1", "b2"):
         for i in range(1, k + 1):
@@ -215,26 +220,9 @@ def _mvc_fixed_edges(k):
 
 
 def _mds_fixed_edges(k):
-    """Bit-gadget-incident edges of the base MDS family (rows independent)."""
-    log_k = k.bit_length() - 1
-    bit_edges = []
-    for s, arow, brow in _ROW_SETS:
-        for j in range(1, log_k + 1):
-            fa, ta, ua = f"fA{s}_{j}", f"tA{s}_{j}", f"uA{s}_{j}"
-            fb, tb, ub = f"fB{s}_{j}", f"tB{s}_{j}", f"uB{s}_{j}"
-            bit_edges += [
-                (fa, ta), (ta, ua), (ua, fb), (fb, tb), (tb, ub), (ub, fa),
-            ]
-        for i in range(1, k + 1):
-            for j in range(1, log_k + 1):
-                # wired to the complement of the binary representation
-                bit_edges.append(
-                    (f"{arow}_{i}", f"fA{s}_{j}" if _bit(i, j) else f"tA{s}_{j}")
-                )
-                bit_edges.append(
-                    (f"{brow}_{i}", f"fB{s}_{j}" if _bit(i, j) else f"tB{s}_{j}")
-                )
-    return bit_edges
+    """Bit-gadget-incident edges of the base MDS family (rows independent),
+    wired to the complement of the binary representation."""
+    return _bit_edges(k, ("fA", "tA", "uA", "fB", "tB", "uB"), "f", "t")
 
 
 def _add_zero_vertex(b, gadgets, name, anchors):

@@ -22,7 +22,7 @@ from itertools import chain
 
 from .errors import InputError, RoundCapError
 from .graph import DS2, make_solution
-from .protocols import exchange
+from .protocols import exchange, stream
 from .sim import (
     CONGEST, Model, NodeProgram, RoundStats, node_rng, run, to_words, word_bits,
 )
@@ -63,26 +63,6 @@ class EstimateConfig:
 # ---------------------------------------------------------------------------
 # estimation
 # ---------------------------------------------------------------------------
-
-class _EdgeStreamProgram(NodeProgram):
-    """Low-degree vertices stream (neighbor, status) pairs, one per sweep,
-    waking while they have pairs left; everyone collects what its neighbors
-    forward, as {sender: [(vertex, status)]}."""
-
-    def __init__(self, ctx, items):
-        super().__init__(ctx)
-        self.queue = list(items)  # items to announce, may be empty
-        self.output = {}
-
-    def step(self, r, inbox):
-        for s, msg in inbox.items():
-            self.output.setdefault(s, []).append((msg[0], msg[1]))
-        if self.queue:
-            item = self.queue.pop(0)
-            self.wake_at = r + 1 if self.queue else None
-            return dict.fromkeys(self.ctx.neighbors, item)
-        return {}
-
 
 class _SampleMinProgram(NodeProgram):
     """Two relay-min sweeps per chunk of fixed-point samples, folded in
@@ -185,13 +165,11 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
     ]
 
     # stage 2: low-degree vertices forward their edges with statuses
-    def stream_factory(ctx):
-        items = []
-        if len(ctx.neighbors) < threshold:
-            items = [(u, info[ctx.node][u][0]) for u in ctx.neighbors]
-        return _EdgeStreamProgram(ctx, items)
-
-    heard, st = run(g, stream_factory, model, seed=seed)
+    edges = [
+        [(u, info[v][u][0]) for u in g.adj[v]] if g.degree(v) < threshold else []
+        for v in range(n)
+    ]
+    heard, st = stream(g, edges, model, seed=seed)
     stats.add(st)
 
     estimates = [Fraction(0)] * n

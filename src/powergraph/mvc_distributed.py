@@ -341,7 +341,9 @@ def weighted_phase1(g, eps, model=None, seed=0):
     if model is None:
         model = Model(CONGEST)
     bits = word_bits(g.n)
-    msgs = [_encode_weight(g.weight(v), bits) for v in range(g.n)]
+    # a vertex with no neighbor sends nothing, so its weight need not fit
+    msgs = [_encode_weight(g.weight(v), bits) if g.adj[v] else None
+            for v in range(g.n)]
     heard, stats = exchange(g, msgs, model, seed=seed)
     states = []
     for v in range(g.n):
@@ -402,11 +404,10 @@ def g2mwvc_eps(g, eps, model=None, seed=0):
 # switches to a direct gather at node 0.
 # ---------------------------------------------------------------------------
 
-_STAGE_VOTE = 0
-_STAGE_GATHER = 1
-
-
 class _VotingProgram(NodeProgram):
+    """Stepped in every sweep until the verdict, so sweep r is step r % 4
+    of voting phase r // 4 + 1, or step r - gather_at of the gather."""
+
     RANK_WORDS = 4
 
     def __init__(self, ctx, eps, max_phases):
@@ -416,9 +417,7 @@ class _VotingProgram(NodeProgram):
         self.in_R = True
         self.in_cover = False
         self.r_nbrs = set(ctx.neighbors)
-        self.stage = _STAGE_VOTE
-        self.sweep = 0  # sweep counter within the current stage
-        self.phase = 0
+        self.gather_at = None  # the sweep the gather started in
         self.is_cand = False
         self.declared_dr = 0
         self.queue = []
@@ -427,19 +426,17 @@ class _VotingProgram(NodeProgram):
         if self.output is not None:  # the verdict is in
             return {}
         self.wake_at = r + 1  # every sweep until the verdict
-        if self.stage == _STAGE_VOTE:
-            return self._vote_step(inbox)
-        return self._gather_step(inbox)
+        if self.gather_at is None:
+            return self._vote_step(r, inbox)
+        return self._gather_step(r - self.gather_at, inbox)
 
-    def _vote_step(self, inbox):
+    def _vote_step(self, r, inbox):
         ctx = self.ctx
-        s = self.sweep % 4
-        self.sweep += 1
+        s = r % 4
         if s == 0:
             for snd in inbox:  # joins announced at the end of last phase
                 self.r_nbrs.discard(snd)
-            self.phase += 1
-            if self.phase > self.max_phases:
+            if r // 4 >= self.max_phases:
                 raise RoundCapError("voting did not converge within the phase cap")
             self.is_cand = len(self.r_nbrs) > self.threshold
             if self.is_cand:
@@ -451,8 +448,7 @@ class _VotingProgram(NodeProgram):
         if s == 1:
             ranks = {snd: from_words(m, ctx.word_bits) for snd, m in inbox.items()}
             if not ranks and not self.is_cand:
-                self.stage = _STAGE_GATHER
-                self.sweep = 0
+                self.gather_at = r
                 return self._gather_init()
             if self.in_R:
                 nbr_cands = [(ranks[u], u) for u in ctx.neighbors if u in ranks]
@@ -483,22 +479,19 @@ class _VotingProgram(NodeProgram):
             return {}
         return {0: (len(self.queue),)}
 
-    def _gather_step(self, inbox):
+    def _gather_step(self, k, inbox):
         ctx = self.ctx
-        self.sweep += 1
         if ctx.node == 0:
-            if self.sweep == 1:
+            if k == 1:
                 self.remaining = sum(m[0] for m in inbox.values())
             else:
                 for m in inbox.values():
                     self.collected.append(tuple(m))
                     self.remaining -= 1
             if self.remaining == 0:
-                H = _decode_f(self.collected, ctx.n)
-                members = exact_mvc(H).members
-                self.in_cover = self.in_cover or (0 in members)
+                members = _solve_exact(_decode_f(self.collected, ctx.n))
                 self.wake_at = None
-                self.output = {"in_cover": self.in_cover, "phases": self.phase}
+                self.output = self.in_cover or 0 in members
                 return {
                     u: ((1,) if u in members else (0,))
                     for u in range(ctx.n)
@@ -506,9 +499,8 @@ class _VotingProgram(NodeProgram):
                 }
             return {}
         if 0 in inbox:  # the leader's verdict
-            self.in_cover = self.in_cover or inbox[0] == (1,)
             self.wake_at = None
-            self.output = {"in_cover": self.in_cover, "phases": self.phase}
+            self.output = self.in_cover or inbox[0] == (1,)
             return {}
         if self.queue:
             return {0: self.queue.pop(0)}
@@ -533,5 +525,5 @@ def g2mvc_cc_voting(g, eps, seed=0, model=None):
     outputs, stats = run(
         g, lambda ctx: _VotingProgram(ctx, eps, max_phases), model, seed=seed
     )
-    members = {v for v, o in enumerate(outputs) if o["in_cover"]}
+    members = {v for v, in_cover in enumerate(outputs) if in_cover}
     return make_solution(g, VC2, members), stats

@@ -1,25 +1,37 @@
-"""Reusable distributed building blocks: a one-round neighbor exchange,
-leader election / BFS tree, pipelined convergecast toward the root, and
-pipelined broadcast from it."""
+"""Reusable distributed building blocks: streams of messages to the
+neighbors, leader election / BFS tree, and pipelined convergecast toward
+the root and broadcast from it, both by one relay program."""
 
 from .errors import ConnectivityError, EncodingError, InputError
 from .sim import CLIQUE, CONGEST, Model, NodeProgram, run
 
 
-class _ExchangeProgram(NodeProgram):
-    """Send one message to every neighbor in sweep 0; the output maps each
-    neighbor to the message it sent."""
+class _StreamProgram(NodeProgram):
+    """Send its own items to every neighbor, one per sweep, waking while
+    items are left; the output maps each sender to the messages it sent."""
 
-    def __init__(self, ctx, msg):
+    def __init__(self, ctx, items):
         super().__init__(ctx)
-        self.msg = msg
+        self.queue = list(items)
         self.output = {}
 
     def step(self, r, inbox):
-        self.output.update(inbox)
-        if r == 0:
-            return dict.fromkeys(self.ctx.neighbors, self.msg)
+        for s, msg in inbox.items():
+            self.output.setdefault(s, []).append(msg)
+        if self.queue:
+            msg = self.queue.pop(0)
+            self.wake_at = r + 1 if self.queue else None
+            return dict.fromkeys(self.ctx.neighbors, msg)
         return {}
+
+
+def stream(g, items, model, seed=0):
+    """Every node v sends the messages items[v] to all its neighbors, one
+    per round.
+
+    Returns (per-node {neighbor: [messages]}, RoundStats).
+    """
+    return run(g, lambda ctx: _StreamProgram(ctx, items[ctx.node]), model, seed=seed)
 
 
 def exchange(g, msgs, model, seed=0):
@@ -27,7 +39,8 @@ def exchange(g, msgs, model, seed=0):
 
     Returns (per-node {neighbor: message}, RoundStats).
     """
-    return run(g, lambda ctx: _ExchangeProgram(ctx, msgs[ctx.node]), model, seed=seed)
+    heard, stats = stream(g, [[m] for m in msgs], model, seed=seed)
+    return [{s: ms[0] for s, ms in h.items()} for h in heard], stats
 
 
 class _BfsFloodProgram(NodeProgram):
@@ -71,35 +84,34 @@ def elect_leader_bfs(g, model=None, seed=0):
     return leader, parent, depth, stats
 
 
-class _ConvergecastProgram(NodeProgram):
-    """Ship one item per round toward the root: along tree edges under
-    CONGEST, straight to the root under CLIQUE.  A node wakes in the next
-    sweep while it has items to ship.  The root's output is the list of
-    items it holds."""
+class _PipeProgram(NodeProgram):
+    """Ship one message per sweep to every node in `dests`: first the
+    node's own queue, then each message it receives.  A node wakes in the
+    next sweep while messages wait.  When `kept` is a list, the output is
+    that list with every received message appended."""
 
-    def __init__(self, ctx, parent, items):
+    def __init__(self, ctx, dests, queue, kept=None):
         super().__init__(ctx)
-        self.parent = parent
-        if parent is None:
-            self.output = list(items)
-        else:
-            self.queue = list(items)
+        self.dests = dests
+        self.queue = list(queue)
+        self.output = kept
 
     def step(self, r, inbox):
         for msg in inbox.values():
-            if self.parent is None:
+            if self.output is not None:
                 self.output.append(msg)
-            else:
+            if self.dests:
                 self.queue.append(msg)
-        if self.parent is not None and self.queue:
+        if self.queue and self.dests:
             msg = self.queue.pop(0)
             self.wake_at = r + 1 if self.queue else None
-            return {self.parent: msg}
+            return dict.fromkeys(self.dests, msg)
         return {}
 
 
 def pipelined_convergecast(g, tree, items, model, seed=0):
-    """Gather every node's items at the tree root.
+    """Gather every node's items at the tree root: along tree edges under
+    CONGEST, straight to the root under CLIQUE.
 
     tree: (root, parent map); items: per-node list of word tuples.
     Returns (sorted item list at root, RoundStats).
@@ -113,56 +125,21 @@ def pipelined_convergecast(g, tree, items, model, seed=0):
                 )
 
     def factory(ctx):
-        if ctx.node == root:
-            p = None
-        elif model.variant == CLIQUE:
-            p = root
-        else:
-            p = parent.get(ctx.node)
-            if p is None:
-                raise InputError(f"node {ctx.node} has no parent in the tree")
-        return _ConvergecastProgram(ctx, p, items[ctx.node])
+        v = ctx.node
+        if v == root:
+            return _PipeProgram(ctx, (), (), kept=list(items[v]))
+        p = root if model.variant == CLIQUE else parent.get(v)
+        if p is None:
+            raise InputError(f"node {v} has no parent in the tree")
+        return _PipeProgram(ctx, (p,), items[v])
 
     outputs, stats = run(g, factory, model, seed=seed)
     return (sorted(outputs[root]) if g.n else []), stats
 
 
-class _BroadcastProgram(NodeProgram):
-    """Pipelined tree broadcast of a list of word tuples from the root.
-
-    The first message announces how many items follow; the output is the
-    list of items received so far.  A node wakes in the next sweep while it
-    has items to forward.
-    """
-
-    def __init__(self, ctx, children, payload):
-        super().__init__(ctx)
-        self.children = children
-        self.expected = None
-        self.output = []
-        self.queue = []
-        if payload is not None:  # root
-            self.expected = len(payload)
-            self.output = [tuple(p) for p in payload]
-            self.queue = [(len(payload),)] + self.output
-
-    def step(self, r, inbox):
-        for msg in inbox.values():
-            if self.expected is None:
-                (self.expected,) = msg
-            else:
-                self.output.append(msg)
-            self.queue.append(msg)
-        if self.queue and self.children:
-            msg = self.queue.pop(0)
-            self.wake_at = r + 1 if self.queue else None
-            return {c: msg for c in self.children}
-        self.queue = []
-        return {}
-
-
 def pipelined_broadcast(g, tree, payload, model, seed=0):
-    """Deliver `payload` (list of word tuples) from the root to every node."""
+    """Deliver `payload` (list of word tuples) from the root to every node.
+    The first message announces how many items follow."""
     root, parent = tree
     children = {v: [] for v in range(g.n)}
     for v, p in parent.items():
@@ -170,11 +147,12 @@ def pipelined_broadcast(g, tree, payload, model, seed=0):
             children[p].append(v)
     for c in children.values():
         c.sort()
+    sent = [(len(payload),)] + [tuple(p) for p in payload]
 
     def factory(ctx):
-        return _BroadcastProgram(
-            ctx, children[ctx.node], payload if ctx.node == root else None
-        )
+        if ctx.node == root:
+            return _PipeProgram(ctx, children[root], sent, kept=list(sent))
+        return _PipeProgram(ctx, children[ctx.node], (), kept=[])
 
     outputs, stats = run(g, factory, model, seed=seed)
-    return [sorted(o) for o in outputs], stats
+    return [sorted(o[1:]) for o in outputs], stats

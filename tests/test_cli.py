@@ -202,6 +202,17 @@ class TestRun:
         assert code == 1
         assert json.loads(out)["error"] == "InputError"
 
+    def test_lone_vertex_weight_is_not_encoded(self, tmp_path, capsys):
+        # a 1-vertex graph has 1-bit words, too few for weight 4, but the
+        # vertex has no neighbor to send its weight to
+        fname = write_text(tmp_path, "one.graph", "p 1 0 weighted\nw 0 4\n")
+        code, out = run_cli(capsys, "run", "--algo", "g2mwvc-eps",
+                            "--input", fname, "--eps", "1/2")
+        assert code == 0, out
+        report = json.loads(out)
+        assert report["value"] == 0
+        assert report["rounds"] == 3
+
     def test_missing_input_file(self, capsys):
         code, out = run_cli(capsys, "run", "--algo", "g2mvc-53",
                             "--input", "/nonexistent/g.graph")

@@ -18,7 +18,7 @@ from powergraph.mds_distributed import (
     EstimateConfig, estimate_2hop_counts, g2mds_logd,
 )
 from powergraph.mvc_distributed import (
-    g2mvc_cc_voting, phase1_unweighted, weighted_phase1,
+    g2mvc_cc_voting, g2mvc_eps, g2mwvc_eps, phase1_unweighted, weighted_phase1,
 )
 from powergraph.protocols import (
     elect_leader_bfs,
@@ -279,16 +279,14 @@ class TestWake:
 @st.composite
 def small_connected_graphs(draw):
     """A random tree on at most 12 vertices plus random extra edges, with
-    weights in 0..8 that fit the two words weighted Phase I sends each in
-    (at n=1 a word is 1 bit, so weights stay below 4)."""
+    weights in 0..8."""
     n = draw(st.integers(1, 12))
     edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
     ids = st.integers(0, n - 1)
     for u, v in draw(st.lists(st.tuples(ids, ids), max_size=2 * n)):
         if u != v:
             edges.add((min(u, v), max(u, v)))
-    top = min(8, 4 ** word_bits(n) - 1)
-    weights = {v: draw(st.integers(0, top)) for v in range(n)}
+    weights = {v: draw(st.integers(0, 8)) for v in range(n)}
     return Graph(n, sorted(edges)), Graph(n, sorted(edges), weights=weights)
 
 
@@ -310,11 +308,17 @@ class TestSleepingIsSound:
         cfg = EstimateConfig(samples=samples, exact_threshold=1 if sampled else None)
         U = set(range(0, g.n, 2))
         est_model = Model(variant, bandwidth_words=bandwidth)
+        tree = elect_leader_bfs(g, model)[:2]
         calls = [
             lambda: phase1_unweighted(g, Fraction(1, 2), model, seed=seed),
             lambda: weighted_phase1(gw, Fraction(1, 2), model, seed=seed),
             lambda: estimate_2hop_counts(g, U, cfg, seed=seed, model=est_model),
             lambda: g2mds_logd(g, seed=seed, cfg=cfg, model=model),
+            lambda: g2mvc_eps(g, Fraction(1, 2), model, seed=seed),
+            lambda: g2mwvc_eps(gw, Fraction(1, 2), model, seed=seed),
+            lambda: pipelined_broadcast(
+                g, tree, [(v,) for v in range(g.n)], model, seed=seed
+            ),
         ]
         if variant == CLIQUE:
             calls.append(
@@ -413,6 +417,14 @@ class TestConvergecast:
         got, stats = pipelined_convergecast(Graph(0, []), (None, {}), [], Model(CONGEST))
         assert got == [] and stats.rounds == 0
 
+    def test_cost_on_a_path(self):
+        # the node at depth d ships its 2 items over d hops, one per round
+        g = path(5)
+        items = [[(v,), (v, 1)] for v in range(5)]
+        got, stats = pipelined_convergecast(g, self.bfs_tree(g), items, Model(CONGEST))
+        assert got == sorted(x for its in items for x in its)
+        assert (stats.rounds, stats.messages) == (8, 20)
+
     def test_oversize_item_rejected(self):
         g = path(2)
         items = [[tuple([0] * 9)], []]
@@ -428,12 +440,16 @@ class TestBroadcast:
         outputs, stats = pipelined_broadcast(g, (leader, parent), payload, Model(CONGEST))
         for v in range(5):
             assert outputs[v] == [(1, 4), (3,)]
+        # the count header and both items cross each of the 4 tree edges
+        assert (stats.rounds, stats.messages, stats.max_message_bits) == (6, 12, 6)
 
     def test_empty_payload(self):
-        g = path(3)
+        g = path(5)
         leader, parent, depth, _ = elect_leader_bfs(g)
-        outputs, _ = pipelined_broadcast(g, (leader, parent), [], Model(CONGEST))
-        assert outputs == [[], [], []]
+        outputs, stats = pipelined_broadcast(g, (leader, parent), [], Model(CONGEST))
+        assert outputs == [[]] * 5
+        # the count header still crosses every tree edge
+        assert (stats.rounds, stats.messages) == (4, 4)
 
 
 class TestQuiescence:
