@@ -7,6 +7,7 @@ explicitly requested with --timing.
 
 import argparse
 import csv
+import functools
 import io
 import json
 import random
@@ -16,7 +17,7 @@ from fractions import Fraction
 
 from .errors import GenerationError, InputError, PowerGraphError
 from .exact import exact_mds, exact_mvc
-from .graph import DS1, DS2, VC1, VC2, Graph, is_feasible, make_solution, square
+from .graph import DS2, VC2, Graph, is_feasible, make_solution, square
 from .graphio import format_graph, read_graph, write_graph, write_sidecar
 from .lowerbound import (
     gen_mds_base,
@@ -62,6 +63,8 @@ ALGORITHMS = {
     "exact-mds2": (CENTRAL, DS2, False),
 }
 ALGOS = tuple(ALGORITHMS)
+# the central algorithms that run on G^2 itself
+ON_SQUARE = ("g2mvc-53", "exact-mvc2", "exact-mds2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -173,7 +176,8 @@ def _value_json(value):
 
 
 def _execute(algo, g, sq, eps, seed, model_name):
-    """Run one algorithm; sq is square(g).  Returns (solution, stats)."""
+    """Run one algorithm; sq is square(g) for the algorithms in ON_SQUARE.
+    Returns (solution, stats)."""
     default_model, _, needs_eps = ALGORITHMS[algo]
     if needs_eps and eps is None:
         raise InputError(f"--eps is required for {algo}")
@@ -209,7 +213,7 @@ def run_report(algo, g, eps=None, seed=0, model_name=None, with_opt=False,
     default_model, kind, _ = ALGORITHMS[algo]
     if model_name is None:
         model_name = default_model
-    sq = square(g)
+    sq = square(g) if with_opt or algo in ON_SQUARE else None
     start = time.perf_counter()
     sol, stats = _execute(algo, g, sq, eps, seed, model_name)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -224,7 +228,7 @@ def run_report(algo, g, eps=None, seed=0, model_name=None, with_opt=False,
         "messages": stats.messages,
         "max_message_bits": stats.max_message_bits,
         "value": _value_json(sol.value),
-        "feasible": is_feasible(sq, DS1 if kind == DS2 else VC1, sol.members),
+        "feasible": is_feasible(g, kind, sol.members),
     }
     if with_opt:
         if algo in ("exact-mvc2", "exact-mds2"):
@@ -323,7 +327,9 @@ def _cmd_sweep(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    # built once per process: parse_args leaves the parser unchanged
     parser = _Parser(prog="powergraph")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -368,9 +374,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
         if args.cmd == "gen":
             if args.kind == "random":
                 return _cmd_gen_random(args)

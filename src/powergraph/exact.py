@@ -7,7 +7,7 @@ the returned optimum is deterministic: the first optimal solution found
 under the (deterministic) branch order is kept.
 """
 
-from fractions import Fraction
+import math
 
 from .errors import SizeCapError
 from .graph import DS1, VC1, make_solution
@@ -26,19 +26,30 @@ def exact_mvc(g, cap=DEFAULT_CAP):
     largest = max(map(len, comps), default=0)
     if largest > cap:
         raise SizeCapError(f"a component of {largest} vertices exceeds cap {cap}")
+    w = _int_weights(g)
     members = set()
     for comp in comps:
         adj = {v: set(g.adj[v]) for v in comp}
         chosen = set()
         # zero-weight vertices are free: take any that covers an edge
-        if g.weights is not None:
-            for v in sorted(adj):
-                if v in adj and g.weight(v) == 0 and adj[v]:
-                    _take_into_cover(adj, chosen, v)
+        for v in sorted(adj):
+            if v in adj and w[v] == 0 and adj[v]:
+                _take_into_cover(adj, chosen, v)
         best = _MvcBest()
-        _mvc_branch(g, adj, chosen, best)
+        _mvc_branch(w, adj, chosen, best)
         members |= best.members
     return make_solution(g, VC1, members)
+
+
+def _int_weights(g):
+    """g's weights as ints on one scale: all 1 when g is unweighted, else
+    each weight times the lcm of the denominators.  A positive common scale
+    keeps every comparison, so the searches keep the same optimum."""
+    if g.weights is None:
+        return [1] * g.n
+    ws = [g.weights[v] for v in range(g.n)]
+    scale = math.lcm(*(x.denominator for x in ws))
+    return [x.numerator * (scale // x.denominator) for x in ws]
 
 
 def _components(g):
@@ -79,7 +90,7 @@ def _take_into_cover(adj, chosen, v):
     del adj[v]
 
 
-def _mvc_reduce(g, adj, chosen):
+def _mvc_reduce(w, adj, chosen):
     """Apply degree-0/degree-1/domination rules until none fires."""
     changed = True
     while changed:
@@ -94,7 +105,7 @@ def _mvc_reduce(g, adj, chosen):
             elif deg == 1:
                 u = next(iter(adj[v]))
                 # the edge needs v or u; u is never worse when not heavier
-                if g.weight(u) <= g.weight(v):
+                if w[u] <= w[v]:
                     _take_into_cover(adj, chosen, u)
                     changed = True
         if changed:
@@ -106,7 +117,7 @@ def _mvc_reduce(g, adj, chosen):
             for u in sorted(adj[v]):
                 if u not in adj:
                     continue
-                if g.weight(u) <= g.weight(v) and adj[v] - {u} <= adj[u]:
+                if w[u] <= w[v] and adj[v] - {u} <= adj[u]:
                     _take_into_cover(adj, chosen, u)
                     changed = True
                     break
@@ -114,30 +125,30 @@ def _mvc_reduce(g, adj, chosen):
                 break
 
 
-def _mvc_lower_bound(g, adj):
+def _mvc_lower_bound(w, adj):
     """Greedy matching bound: disjoint edges each need min-endpoint weight."""
     used = set()
-    lb = Fraction(0)
+    lb = 0
     for v in sorted(adj):
         if v in used:
             continue
         for u in adj[v]:
             if u not in used and u > v:
-                lb += min(g.weight(u), g.weight(v))
+                lb += min(w[u], w[v])
                 used.add(u)
                 used.add(v)
                 break
     return lb
 
 
-def _mvc_branch(g, adj, chosen, best):
+def _mvc_branch(w, adj, chosen, best):
     """Search below one node; adj and chosen belong to it and are changed."""
-    _mvc_reduce(g, adj, chosen)
-    weight = g.total_weight(chosen)
+    _mvc_reduce(w, adj, chosen)
+    weight = sum(w[v] for v in chosen)
     if not adj:
         best.offer(weight, chosen)
         return
-    if best.weight is not None and weight + _mvc_lower_bound(g, adj) >= best.weight:
+    if best.weight is not None and weight + _mvc_lower_bound(w, adj) >= best.weight:
         return
     # branch on a max-degree vertex (smallest id on ties)
     v = min(adj, key=lambda u: (-len(adj[u]), u))
@@ -145,12 +156,12 @@ def _mvc_branch(g, adj, chosen, best):
     a1 = {u: set(s) for u, s in adj.items()}
     c1 = set(chosen)
     _take_into_cover(a1, c1, v)
-    _mvc_branch(g, a1, c1, best)
+    _mvc_branch(w, a1, c1, best)
     # branch 2: v excluded, so all its neighbors join
     for u in sorted(adj[v]):
         if u in adj:
             _take_into_cover(adj, chosen, u)
-    _mvc_branch(g, adj, chosen, best)
+    _mvc_branch(w, adj, chosen, best)
 
 
 def exact_mds(g, cap=DEFAULT_CAP):
@@ -161,19 +172,19 @@ def exact_mds(g, cap=DEFAULT_CAP):
     candidates = {v: set(closed[v]) for v in range(g.n)}
     uncovered = set(range(g.n))
     chosen = set()
+    w = _int_weights(g)
     # zero-weight candidates are free
-    if g.weights is not None:
-        for v in range(g.n):
-            if g.weight(v) == 0:
-                chosen.add(v)
-                uncovered -= closed[v]
+    for v in range(g.n):
+        if w[v] == 0:
+            chosen.add(v)
+            uncovered -= closed[v]
 
     best = _MvcBest()
-    _mds_branch(g, candidates, uncovered, chosen, best)
+    _mds_branch(w, candidates, uncovered, chosen, best)
     return make_solution(g, DS1, best.members)
 
 
-def _mds_reduce(g, candidates, uncovered, chosen):
+def _mds_reduce(w, candidates, uncovered, chosen):
     """Forced-choice and dominance reductions for the covering search."""
     changed = True
     while changed:
@@ -199,8 +210,8 @@ def _mds_reduce(g, candidates, uncovered, chosen):
             for v in items:
                 if v == u or v not in candidates or u not in candidates:
                     continue
-                if cu <= candidates[v] and g.weight(v) <= g.weight(u):
-                    if cu == candidates[v] and g.weight(v) == g.weight(u) and v > u:
+                if cu <= candidates[v] and w[v] <= w[u]:
+                    if cu == candidates[v] and w[v] == w[u] and v > u:
                         continue  # keep the smaller id
                     del candidates[u]
                     changed = True
@@ -226,30 +237,30 @@ def _mds_reduce(g, candidates, uncovered, chosen):
                 break
 
 
-def _mds_lower_bound(g, candidates, uncovered):
+def _mds_lower_bound(w, candidates, uncovered):
     """Pick elements with pairwise-disjoint candidate sets; weights add up."""
     cover_of = {}
     for e in uncovered:
         cover_of[e] = [v for v in candidates if e in candidates[v]]
-    lb = Fraction(0)
+    lb = 0
     blocked = set()
     for e in sorted(uncovered, key=lambda e: (len(cover_of[e]), e)):
         cands = cover_of[e]
         if not cands or any(v in blocked for v in cands):
             continue
-        lb += min(g.weight(v) for v in cands)
+        lb += min(w[v] for v in cands)
         blocked.update(cands)
     return lb
 
 
-def _mds_branch(g, candidates, uncovered, chosen, best):
+def _mds_branch(w, candidates, uncovered, chosen, best):
     """Search below one node; its arguments belong to it and are changed."""
-    _mds_reduce(g, candidates, uncovered, chosen)
-    weight = g.total_weight(chosen)
+    _mds_reduce(w, candidates, uncovered, chosen)
+    weight = sum(w[v] for v in chosen)
     if not uncovered:
         best.offer(weight, chosen)
         return
-    if best.weight is not None and weight + _mds_lower_bound(g, candidates, uncovered) >= best.weight:
+    if best.weight is not None and weight + _mds_lower_bound(w, candidates, uncovered) >= best.weight:
         return
     # branch on the hardest element: fewest candidates, smallest id on ties
     def key(e):
@@ -264,4 +275,4 @@ def _mds_branch(g, candidates, uncovered, chosen, best):
         u2 = uncovered - c2[v]
         ch2 = chosen | {v}
         del c2[v]
-        _mds_branch(g, c2, u2, ch2, best)
+        _mds_branch(w, c2, u2, ch2, best)

@@ -52,6 +52,14 @@ class Graph:
                 w[v] = wv
             self.weights = w
 
+    @classmethod
+    def _from_adjacency(cls, n, adj, m, weights):
+        """A graph from adjacency tuples that are sorted, symmetric and
+        loop-free by construction, and weights already stored as Fractions."""
+        g = cls.__new__(cls)
+        g.n, g.adj, g._m, g.weights = n, adj, m, weights
+        return g
+
     @property
     def m(self):
         return self._m
@@ -101,17 +109,14 @@ class Graph:
 
 def square(g):
     """Return G^2: same vertices and weights, edge iff dist_G(u,v) <= 2."""
-    edges = []
-    sets = [set(a) for a in g.adj]
-    for u in range(g.n):
-        two_hop = set(g.adj[u])
-        for w in g.adj[u]:
-            two_hop |= sets[w]
+    adj = []
+    for u, nbrs in enumerate(g.adj):
+        two_hop = set(nbrs).union(*[g.adj[w] for w in nbrs])
         two_hop.discard(u)
-        for v in two_hop:
-            if u < v:
-                edges.append((u, v))
-    return Graph(g.n, edges, weights=dict(g.weights) if g.weights else None)
+        adj.append(tuple(sorted(two_hop)))
+    m = sum(map(len, adj)) // 2
+    return Graph._from_adjacency(
+        g.n, tuple(adj), m, dict(g.weights) if g.weights else None)
 
 
 class Solution:
@@ -149,16 +154,24 @@ def is_feasible(g, kind, members):
     for v in members:
         if not (0 <= v < g.n):
             raise InputError(f"solution member {v} out of range")
-    if kind in (VC1, VC2):
-        target = g if kind == VC1 else square(g)
-        return all(u in members or v in members for (u, v) in target.edges())
-    target = g if kind == DS1 else square(g)
-    for v in range(target.n):
-        if v in members:
-            continue
-        if not any(u in members for u in target.adj[v]):
-            return False
-    return True
+    if kind == VC1:
+        return all(u in members or v in members for (u, v) in g.edges())
+    if kind == VC2:
+        # the non-members must be independent in G^2: no non-member has a
+        # non-member neighbor, and no vertex has two non-member neighbors
+        for v, nbrs in enumerate(g.adj):
+            outside = [u for u in nbrs if u not in members]
+            if len(outside) > 1 or (outside and v not in members):
+                return False
+        return True
+    # near[v]: N[v] holds a member; v is dominated in G^2 iff near holds
+    # at v or at one of its neighbors
+    near = [v in members or any(u in members for u in nbrs)
+            for v, nbrs in enumerate(g.adj)]
+    if kind == DS1:
+        return all(near)
+    return all(near[v] or any(near[u] for u in nbrs)
+               for v, nbrs in enumerate(g.adj))
 
 
 def matching_2approx(g):

@@ -68,41 +68,35 @@ def vc_53_on_square(h, red_edges=()):
     )
     adj = {v: set(h.adj[v]) for v in range(h.n) if h.degree(v) > 0}
 
-    def drop(v):
-        for u in adj[v]:
-            adj[u].discard(v)
-        del adj[v]
-
     def take_group(vs, part_v, part_w):
-        # all of vs enter the cover together, then isolated leftovers leave
+        # all of vs enter the cover together, then isolated leftovers leave;
+        # only a dropped vertex's former neighbors can become isolated
+        touched = set()
         for v in vs:
             part_v.add(v)
             part_w.add(v)
-        for v in vs:
-            if v in adj:
-                drop(v)
-        for u in list(adj):
-            if not adj[u]:
+            nbrs = adj.pop(v, ())
+            for u in nbrs:
+                adj[u].discard(v)
+            touched.update(nbrs)
+        for u in touched:
+            if u in adj and not adj[u]:
                 del adj[u]
                 part_w.add(u)
 
-    # part 1: remove vertex-disjoint triangles, smallest triple first
-    while True:
-        tri = None
-        for a in sorted(adj):
-            for b in sorted(adj[a]):
-                if b <= a:
-                    continue
-                common = adj[a] & adj[b]
-                cands = sorted(c for c in common if c > b)
-                if cands:
-                    tri = (a, b, cands[0])
-                    break
-            if tri:
+    # part 1: remove vertex-disjoint triangles, smallest triple first.
+    # Removing vertices never creates a triangle, so one pass in id order
+    # takes the same triples as rescanning after every take.
+    for a in sorted(adj):
+        if a not in adj:
+            continue
+        for b in sorted(adj[a]):
+            if b <= a:
+                continue
+            cands = [c for c in adj[a] & adj[b] if c > b]
+            if cands:
+                take_group((a, b, min(cands)), trace.V1, trace.W1)
                 break
-        if tri is None:
-            break
-        take_group(tri, trace.V1, trace.W1)
     trace.R = _snapshot(adj)
 
     # part 2: eliminate degrees 1-3, lowest degree first, smallest id ties

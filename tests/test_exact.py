@@ -50,11 +50,15 @@ class TestExactMvc:
         for trial in range(25):
             n = rng.randint(2, 8)
             edges = random_connected_gnp(n, 0.4, seed=500 + trial)
-            weights = {v: rng.randint(0, 9) for v in range(n)}
-            g = Graph(n, edges, weights=weights)
-            s = exact_mvc(g)
-            assert is_feasible(g, VC1, s.members)
-            assert s.value == brute_min_vc(n, edges, weights)
+            integral = {v: rng.randint(0, 9) for v in range(n)}
+            # rational weights with mixed denominators, zeros included
+            mixed = {v: Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 5, 6)))
+                     for v in range(n)}
+            for weights in (integral, mixed):
+                g = Graph(n, edges, weights=weights)
+                s = exact_mvc(g)
+                assert is_feasible(g, VC1, s.members)
+                assert s.value == brute_min_vc(n, edges, weights)
 
     def test_fractional_weights(self):
         g = Graph(
@@ -148,11 +152,15 @@ class TestExactMds:
         for trial in range(20):
             n = rng.randint(2, 8)
             edges = random_connected_gnp(n, 0.35, seed=900 + trial)
-            weights = {v: rng.randint(0, 7) for v in range(n)}
-            g = Graph(n, edges, weights=weights)
-            s = exact_mds(g)
-            assert is_feasible(g, DS1, s.members)
-            assert s.value == brute_min_ds(n, edges, weights)
+            integral = {v: rng.randint(0, 7) for v in range(n)}
+            # rational weights with mixed denominators, zeros included
+            mixed = {v: Fraction(rng.randint(0, 9), rng.choice((1, 2, 3, 5, 6)))
+                     for v in range(n)}
+            for weights in (integral, mixed):
+                g = Graph(n, edges, weights=weights)
+                s = exact_mds(g)
+                assert is_feasible(g, DS1, s.members)
+                assert s.value == brute_min_ds(n, edges, weights)
 
     def test_cap(self):
         with pytest.raises(SizeCapError):

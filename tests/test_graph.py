@@ -1,6 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergraph.errors import ContractError, InputError
 from powergraph.graph import (
@@ -91,8 +94,16 @@ class TestSquare:
                 for v in range(u + 1, n)
                 if rng.random() < 0.3
             ]
-            g = Graph(n, edges)
-            assert set(square(g).edges()) == bfs_dist_le2_edges(n, edges)
+            weights = None
+            if trial % 2:
+                weights = {v: Fraction(rng.randint(0, 9), rng.randint(1, 4))
+                           for v in range(n)}
+            g = Graph(n, edges, weights=weights)
+            oracle_edges = bfs_dist_le2_edges(n, edges)
+            h = square(g)
+            assert set(h.edges()) == oracle_edges
+            assert h == Graph(n, oracle_edges, weights)
+            assert h.m == len(oracle_edges)
 
     def test_square_preserves_weights(self):
         g = Graph(3, [(0, 1), (1, 2)], weights={0: 2, 1: 3, 2: 5})
@@ -128,6 +139,26 @@ class TestFeasibility:
     def test_unknown_kind(self):
         with pytest.raises(InputError):
             is_feasible(path(3), "vc3", set())
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_square_kinds_match_bfs_oracle(self, data):
+        # checked on g itself, the rule must agree with the explicit square
+        n = data.draw(st.integers(0, 30))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                          if pairs else st.just([]))
+        members = data.draw(st.sets(st.integers(0, n - 1)) if n else st.just(set()))
+        g = Graph(n, edges)
+        sq_edges = bfs_dist_le2_edges(n, edges)
+        nbrs2 = {v: set() for v in range(n)}
+        for u, v in sq_edges:
+            nbrs2[u].add(v)
+            nbrs2[v].add(u)
+        vc2 = all(u in members or v in members for u, v in sq_edges)
+        ds2 = all(v in members or nbrs2[v] & members for v in range(n))
+        assert is_feasible(g, VC2, members) == vc2
+        assert is_feasible(g, DS2, members) == ds2
 
 
 class TestSolutions:
