@@ -184,90 +184,79 @@ def exact_mds(g, cap=DEFAULT_CAP):
     return make_solution(g, DS1, best.members)
 
 
+def _cover_of(candidates, uncovered):
+    """Each uncovered element's set of the candidates that cover it; every
+    candidate set must lie within `uncovered`."""
+    cover = {e: set() for e in uncovered}
+    for v, cv in candidates.items():
+        for e in cv:
+            cover[e].add(v)
+    return cover
+
+
 def _mds_reduce(w, candidates, uncovered, chosen):
-    """Forced-choice and dominance reductions for the covering search."""
-    changed = True
-    while changed:
-        changed = False
-        for v in list(candidates):
+    """Forced-choice and dominance reductions for the covering search.
+    Each pass makes at most one kind of change and starts over; returns
+    _cover_of for what is left."""
+    while True:
+        for v in candidates:
             candidates[v] &= uncovered
+        cover = _cover_of(candidates, uncovered)
         # forced: an uncovered element with a single remaining candidate
-        for e in sorted(uncovered):
-            covers = [v for v in candidates if e in candidates[v]]
-            if len(covers) == 1:
-                v = covers[0]
-                chosen.add(v)
-                uncovered -= candidates[v]
-                del candidates[v]
-                changed = True
-                break
-        if changed:
+        forced = next((e for e in sorted(uncovered) if len(cover[e]) == 1), None)
+        if forced is not None:
+            (v,) = cover[forced]
+            chosen.add(v)
+            uncovered -= candidates.pop(v)
             continue
-        # candidate dominance: drop u when some v covers a superset no heavier
-        items = sorted(candidates)
-        for u in items:
+        # candidate dominance: drop u when some v covers a superset no
+        # heavier, keeping the smaller id of two equals
+        changed = False
+        for u in sorted(candidates):
             cu = candidates[u]
-            for v in items:
-                if v == u or v not in candidates or u not in candidates:
-                    continue
-                if cu <= candidates[v] and w[v] <= w[u]:
-                    if cu == candidates[v] and w[v] == w[u] and v > u:
-                        continue  # keep the smaller id
-                    del candidates[u]
-                    changed = True
-                    break
+            if any(v != u and cu <= cv and w[v] <= w[u]
+                   and not (cu == cv and w[v] == w[u] and v > u)
+                   for v, cv in candidates.items()):
+                del candidates[u]
+                changed = True
         if changed:
             continue
-        # element dominance: drop e when covering e' always covers e too
-        cover_of = {
-            e: frozenset(v for v in candidates if e in candidates[v])
-            for e in uncovered
-        }
-        for e in sorted(uncovered):
-            for e2 in sorted(uncovered):
-                if e2 == e:
-                    continue
-                if cover_of[e2] <= cover_of[e]:
-                    if cover_of[e2] == cover_of[e] and e2 > e:
-                        continue
-                    uncovered.discard(e)
-                    changed = True
-                    break
-            if changed:
+        # element dominance: drop e when covering e2 always covers e too
+        order = sorted(uncovered)
+        for e in order:
+            if any(cover[e2] < cover[e] or (cover[e2] == cover[e] and e2 < e)
+                   for e2 in order):
+                uncovered.discard(e)
                 break
+        else:
+            return cover
 
 
-def _mds_lower_bound(w, candidates, uncovered):
+def _mds_lower_bound(w, cover):
     """Pick elements with pairwise-disjoint candidate sets; weights add up."""
-    cover_of = {}
-    for e in uncovered:
-        cover_of[e] = [v for v in candidates if e in candidates[v]]
     lb = 0
     blocked = set()
-    for e in sorted(uncovered, key=lambda e: (len(cover_of[e]), e)):
-        cands = cover_of[e]
-        if not cands or any(v in blocked for v in cands):
+    for e in sorted(cover, key=lambda e: (len(cover[e]), e)):
+        cands = cover[e]
+        if not cands or not blocked.isdisjoint(cands):
             continue
         lb += min(w[v] for v in cands)
-        blocked.update(cands)
+        blocked |= cands
     return lb
 
 
 def _mds_branch(w, candidates, uncovered, chosen, best):
     """Search below one node; its arguments belong to it and are changed."""
-    _mds_reduce(w, candidates, uncovered, chosen)
+    cover = _mds_reduce(w, candidates, uncovered, chosen)
     weight = sum(w[v] for v in chosen)
     if not uncovered:
         best.offer(weight, chosen)
         return
-    if best.weight is not None and weight + _mds_lower_bound(w, candidates, uncovered) >= best.weight:
+    if best.weight is not None and weight + _mds_lower_bound(w, cover) >= best.weight:
         return
     # branch on the hardest element: fewest candidates, smallest id on ties
-    def key(e):
-        return (sum(1 for v in candidates if e in candidates[v]), e)
-
-    e = min(uncovered, key=key)
-    covers = sorted(v for v in candidates if e in candidates[v])
+    e = min(uncovered, key=lambda e: (len(cover[e]), e))
+    covers = sorted(cover[e])
     if not covers:
         return  # infeasible along this branch
     for v in covers:

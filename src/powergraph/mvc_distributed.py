@@ -15,6 +15,7 @@ from .exact import exact_mvc
 from .graph import VC2, Graph, make_solution
 from .protocols import (
     elect_leader_bfs, exchange, pipelined_broadcast, pipelined_convergecast,
+    scatter,
 )
 from .sim import (
     CLIQUE, CONGEST, Model, NodeProgram, RoundStats, from_words, run, to_words,
@@ -127,7 +128,7 @@ def phase1_unweighted(g, eps, model=None, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# Phase II: gather F at a leader, rebuild H = G^2[U], solve, flood back.
+# Phase II: gather F at a leader, rebuild H = G^2[U], solve, send it back.
 # ---------------------------------------------------------------------------
 
 def build_H_from_F(F, U, n, weights=None):
@@ -155,19 +156,13 @@ def build_H_from_F(F, U, n, weights=None):
     return Graph(n, sorted(edges), weights=weights)
 
 
-def _f_item(v, u, v_in, u_in):
-    """The F-edge item (a, b, flag) for edge vu, with a < b; flag bit0
-    marks a in U, bit1 marks b."""
-    if v > u:
-        v, u, v_in, u_in = u, v, u_in, v_in
-    return (v, u, (1 if v_in else 0) | (2 if u_in else 0))
-
-
 def _f_items(g, U):
-    """Per-node F-edge items: v reports its edges toward U-neighbors.
-    Every F-edge has an endpoint in U, so its other endpoint reports it."""
+    """Per-node F-edge items: v reports each edge vu to a U-neighbor u as
+    (a, b, flag) with {a, b} = {u, v}, a < b, flag bit0 for a in U and
+    bit1 for b.  Every F-edge has an endpoint in U, so the other reports it."""
     return [
-        [_f_item(v, u, v in U, True) for u in g.adj[v] if u in U]
+        [(v, u, (v in U) | 2) if v < u else (u, v, 1 | 2 * (v in U))
+         for u in g.adj[v] if u in U]
         for v in range(g.n)
     ]
 
@@ -186,18 +181,30 @@ def _decode_f(gathered, n, weights=None):
 
 
 def leader_phase2(g, U, model, seed, solve):
-    """Phase II: elect a leader, gather F there, rebuild H = G^2[U] with
-    g's weights, cover H with solve(H) and broadcast the cover.
+    """Phase II: gather F at a leader, rebuild H = G^2[U] with g's
+    weights, cover H with solve(H) and send the cover back.
+
+    Under CONGEST the leader is elected, and its BFS tree carries F up and
+    the cover down.  Under CLIQUE node 0 leads without an election, since
+    every node knows the ids: F comes straight to it, and it tells every
+    other node in one round whether it joins the cover.
 
     Returns (cover vertex set, RoundStats).
     """
-    leader, parent, _, stats = elect_leader_bfs(g, model, seed=seed)
-    tree = (leader, parent)
+    clique = model.variant == CLIQUE
+    if clique:
+        tree, stats = (0, {}), RoundStats()
+    else:
+        leader, parent, _, stats = elect_leader_bfs(g, model, seed=seed)
+        tree = (leader, parent)
     gathered, st = pipelined_convergecast(g, tree, _f_items(g, U), model, seed=seed)
     stats.add(st)
     cover = set(solve(_decode_f(gathered, g.n, g.weights)))
-    payload = [(v,) for v in sorted(cover)]
-    _, st = pipelined_broadcast(g, tree, payload, model, seed=seed)
+    if clique:
+        _, st = scatter(g, 0, [int(v in cover) for v in range(g.n)], model, seed=seed)
+    else:
+        payload = [(v,) for v in sorted(cover)]
+        _, st = pipelined_broadcast(g, tree, payload, model, seed=seed)
     stats.add(st)
     return cover, stats
 
@@ -400,13 +407,13 @@ def g2mwvc_eps(g, eps, model=None, seed=0):
 # random ranks; uncovered vertices vote for their best-ranked candidate
 # neighbor; candidates collecting at least a 1/8 fraction of their
 # neighborhood pull it into the cover.  Candidacy is announced to all
-# nodes, so everyone agrees on the phase where no candidates remain and
-# switches to a direct gather at node 0.
+# nodes, so everyone agrees on the phase where no candidates remain; the
+# run ends there, and the vertices still uncovered go to leader_phase2.
 # ---------------------------------------------------------------------------
 
 class _VotingProgram(NodeProgram):
-    """Stepped in every sweep until the verdict, so sweep r is step r % 4
-    of voting phase r // 4 + 1, or step r - gather_at of the gather."""
+    """Stepped in every sweep until no candidate remains, so sweep r is
+    step r % 4 of voting phase r // 4 + 1.  The output is the R flag."""
 
     RANK_WORDS = 4
 
@@ -415,24 +422,14 @@ class _VotingProgram(NodeProgram):
         self.threshold = Fraction(8, 1) / eps + 2
         self.max_phases = max_phases
         self.in_R = True
-        self.in_cover = False
         self.r_nbrs = set(ctx.neighbors)
-        self.gather_at = None  # the sweep the gather started in
         self.is_cand = False
         self.declared_dr = 0
-        self.queue = []
 
     def step(self, r, inbox):
-        if self.output is not None:  # the verdict is in
-            return {}
-        self.wake_at = r + 1  # every sweep until the verdict
-        if self.gather_at is None:
-            return self._vote_step(r, inbox)
-        return self._gather_step(r - self.gather_at, inbox)
-
-    def _vote_step(self, r, inbox):
         ctx = self.ctx
         s = r % 4
+        self.wake_at = r + 1  # every sweep until voting ends
         if s == 0:
             for snd in inbox:  # joins announced at the end of last phase
                 self.r_nbrs.discard(snd)
@@ -447,9 +444,10 @@ class _VotingProgram(NodeProgram):
             return {}
         if s == 1:
             ranks = {snd: from_words(m, ctx.word_bits) for snd, m in inbox.items()}
-            if not ranks and not self.is_cand:
-                self.gather_at = r
-                return self._gather_init()
+            if not ranks and not self.is_cand:  # no candidate anywhere
+                self.wake_at = None
+                self.output = self.in_R
+                return {}
             if self.in_R:
                 nbr_cands = [(ranks[u], u) for u in ctx.neighbors if u in ranks]
                 if nbr_cands:
@@ -463,47 +461,7 @@ class _VotingProgram(NodeProgram):
         # s == 3: join the cover next to a successful candidate
         if inbox and self.in_R:
             self.in_R = False
-            self.in_cover = True
             return dict.fromkeys(ctx.neighbors, (1,))
-        return {}
-
-    def _gather_init(self):
-        ctx = self.ctx
-        self.queue = []
-        for u in ctx.neighbors:
-            if u in self.r_nbrs or self.in_R:
-                self.queue.append(_f_item(ctx.node, u, self.in_R, u in self.r_nbrs))
-        if ctx.node == 0:
-            self.collected = list(self.queue)
-            self.queue = []
-            return {}
-        return {0: (len(self.queue),)}
-
-    def _gather_step(self, k, inbox):
-        ctx = self.ctx
-        if ctx.node == 0:
-            if k == 1:
-                self.remaining = sum(m[0] for m in inbox.values())
-            else:
-                for m in inbox.values():
-                    self.collected.append(tuple(m))
-                    self.remaining -= 1
-            if self.remaining == 0:
-                members = _solve_exact(_decode_f(self.collected, ctx.n))
-                self.wake_at = None
-                self.output = self.in_cover or 0 in members
-                return {
-                    u: ((1,) if u in members else (0,))
-                    for u in range(ctx.n)
-                    if u != 0
-                }
-            return {}
-        if 0 in inbox:  # the leader's verdict
-            self.wake_at = None
-            self.output = self.in_cover or inbox[0] == (1,)
-            return {}
-        if self.queue:
-            return {0: self.queue.pop(0)}
         return {}
 
 
@@ -525,5 +483,7 @@ def g2mvc_cc_voting(g, eps, seed=0, model=None):
     outputs, stats = run(
         g, lambda ctx: _VotingProgram(ctx, eps, max_phases), model, seed=seed
     )
-    members = {v for v, in_cover in enumerate(outputs) if in_cover}
-    return make_solution(g, VC2, members), stats
+    U = {v for v, in_R in enumerate(outputs) if in_R}
+    members, st2 = leader_phase2(g, U, model, seed, _solve_exact)
+    stats.add(st2)
+    return make_solution(g, VC2, (set(range(g.n)) - U) | members), stats

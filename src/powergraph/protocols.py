@@ -1,6 +1,7 @@
 """Reusable distributed building blocks: streams of messages to the
-neighbors, leader election / BFS tree, and pipelined convergecast toward
-the root and broadcast from it, both by one relay program."""
+neighbors, leader election / BFS tree, pipelined convergecast toward the
+root and broadcast from it, both by one relay program, and a one-round
+scatter from the root under CLIQUE."""
 
 from .errors import ConnectivityError, EncodingError, InputError
 from .sim import CLIQUE, CONGEST, Model, NodeProgram, run
@@ -156,3 +157,27 @@ def pipelined_broadcast(g, tree, payload, model, seed=0):
 
     outputs, stats = run(g, factory, model, seed=seed)
     return [sorted(o[1:]) for o in outputs], stats
+
+
+class _ScatterProgram(NodeProgram):
+    """Send `outbox` in sweep 0, and output the one word heard, if any."""
+
+    def __init__(self, ctx, outbox):
+        super().__init__(ctx)
+        self.outbox = outbox
+
+    def step(self, r, inbox):
+        for (word,) in inbox.values():
+            self.output = word
+        return self.outbox if r == 0 else {}
+
+
+def scatter(g, root, words, model, seed=0):
+    """One CLIQUE round in which the root tells every other node v the
+    word words[v]: n - 1 messages of one word.
+
+    Returns (per-node word heard, None at the root; RoundStats).
+    """
+    outbox = {v: (words[v],) for v in range(g.n) if v != root}
+    return run(g, lambda ctx: _ScatterProgram(
+        ctx, outbox if ctx.node == root else {}), model, seed=seed)

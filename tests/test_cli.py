@@ -3,6 +3,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 from pathlib import Path
@@ -393,6 +394,13 @@ class TestSweep:
             expected = fh.read()
         code, out = run_cli(capsys, "sweep", "--suite", "acceptance")
         assert code == 0
+        # name the rows that moved, then require the very bytes
+        want, got = expected.splitlines(True), out.splitlines(True)
+        moved = [
+            (i, w, o) for i, (w, o) in enumerate(itertools.zip_longest(want, got))
+            if w != o
+        ]
+        assert moved == []
         assert out == expected
 
     def test_unknown_suite(self, capsys):

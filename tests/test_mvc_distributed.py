@@ -14,6 +14,7 @@ from powergraph.mvc_distributed import (
     g2mvc_eps,
     g2mvc_trivial,
     g2mwvc_eps,
+    leader_phase2,
     phase1_unweighted,
     weighted_phase1,
 )
@@ -341,6 +342,37 @@ class TestG2MwvcEps:
         s1, _ = g2mwvc_eps(g, Fraction(1, 2))
         s2, _ = g2mwvc_eps(g, Fraction(1, 2))
         assert s1.members == s2.members
+
+
+class TestLeaderPhase2:
+    # node 0 and its only neighbor 1 lie outside U, so node 0 holds no item
+    G = Graph(7, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6),
+                  (2, 6), (4, 6)])
+    U = {2, 4, 5, 6}
+
+    @pytest.mark.parametrize("U,counts", [
+        (U, [0, 1, 1, 2, 2, 2, 3]),
+        ({0}, [0, 1, 0, 0, 0, 0, 0]),  # H has no edge: the cover is empty
+    ])
+    def test_clique_gathers_without_election_and_scatters_in_one_round(
+            self, monkeypatch, U, counts):
+        g = self.G
+        solve = mvc_distributed._solve_exact
+        want, _ = leader_phase2(g, U, Model(CONGEST), 0, solve)
+
+        def no_election(*args, **kwargs):
+            raise AssertionError("CLIQUE Phase II ran an election")
+
+        monkeypatch.setattr(mvc_distributed, "elect_leader_bfs", no_election)
+        cover, stats = leader_phase2(g, U, Model(CLIQUE), 0, solve)
+        assert cover == want
+        h_edges = [(a, b) for (a, b) in square(g).edges() if a in U and b in U]
+        assert cover <= U and all(a in cover or b in cover for a, b in h_edges)
+        assert len(cover) == brute_min_vc(g.n, h_edges)
+        assert [len(its) for its in mvc_distributed._f_items(g, U)] == counts
+        # items stream straight to node 0, then one verdict word per node
+        assert stats.rounds == max(counts) + 1
+        assert stats.messages == sum(counts) + g.n - 1
 
 
 class TestCliqueVoting:

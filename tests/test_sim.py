@@ -25,6 +25,7 @@ from powergraph.protocols import (
     exchange,
     pipelined_broadcast,
     pipelined_convergecast,
+    scatter,
 )
 from powergraph.sim import (
     CLIQUE,
@@ -450,6 +451,15 @@ class TestBroadcast:
         assert outputs == [[]] * 5
         # the count header still crosses every tree edge
         assert (stats.rounds, stats.messages) == (4, 4)
+
+
+class TestScatter:
+    def test_one_word_to_every_other_node_in_one_round(self):
+        # a path: under CLIQUE the root reaches non-neighbors as well
+        g = path(5)
+        outputs, stats = scatter(g, 2, [1, 0, 1, 1, 0], Model(CLIQUE))
+        assert outputs == [1, 0, None, 1, 0]
+        assert (stats.rounds, stats.messages, stats.max_message_bits) == (1, 4, 3)
 
 
 class TestQuiescence:
