@@ -210,13 +210,17 @@ def _mds_reduce(w, candidates, uncovered, chosen):
             uncovered -= candidates.pop(v)
             continue
         # candidate dominance: drop u when some v covers a superset no
-        # heavier, keeping the smaller id of two equals
+        # heavier, keeping the smaller id of two equals.  Such a v covers
+        # each element of u's set, so one element's cover lists them all;
+        # an empty set needs the full scan.
         changed = False
         for u in sorted(candidates):
             cu = candidates[u]
-            if any(v != u and cu <= cv and w[v] <= w[u]
-                   and not (cu == cv and w[v] == w[u] and v > u)
-                   for v, cv in candidates.items()):
+            rivals = cover[next(iter(cu))] if cu else candidates
+            if any(v != u and v in candidates and w[v] <= w[u]
+                   and cu <= candidates[v]
+                   and not (cu == candidates[v] and w[v] == w[u] and v > u)
+                   for v in rivals):
                 del candidates[u]
                 changed = True
         if changed:

@@ -155,7 +155,7 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
 
     # stage 1: statuses and degrees
     status = [(1 if v in U else 0, g.degree(v)) for v in range(n)]
-    info, st = exchange(g, status, model, seed=seed)
+    info, st = exchange(g, status, model)
     stats.add(st)
 
     exact = [
@@ -169,7 +169,7 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
         [(u, info[v][u][0]) for u in g.adj[v]] if g.degree(v) < threshold else []
         for v in range(n)
     ]
-    heard, st = stream(g, edges, model, seed=seed)
+    heard, st = stream(g, edges, model)
     stats.add(st)
 
     estimates = [Fraction(0)] * n
@@ -195,7 +195,7 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
         rng = node_rng(seed, ctx.node, salt=0x5EED) if ctx.node in U else None
         return _SampleMinProgram(ctx, rng, r, frac_bits)
 
-    sums, st = run(g, sample_factory, model, seed=seed)
+    sums, st = run(g, sample_factory, model)
     stats.add(st)
 
     for v in range(n):
@@ -213,7 +213,7 @@ class _RelayBestProgram(NodeProgram):
     """Spread (value tuple, origin id) extrema over a fixed number of hops.
     Tracks the neighbor that first delivered the final best (the gateway
     toward the origin).  Only mail and the last sweep, `hops`, wake a node:
-    sweep 0 sends every initial value."""
+    sweep 0 sends every initial value.  The output is (best, gateway)."""
 
     def __init__(self, ctx, value, hops, prefer_min):
         super().__init__(ctx)
@@ -246,16 +246,6 @@ class _RelayBestProgram(NodeProgram):
             self.dirty = False
             return dict.fromkeys(self.ctx.neighbors, self.best)
         return {}
-
-
-def _relay_best(g, values, hops, prefer_min, model, seed):
-    """values: per-vertex word tuple or None.  Returns (per-vertex
-    (best, gateway), RoundStats)."""
-
-    def factory(ctx):
-        return _RelayBestProgram(ctx, values[ctx.node], hops, prefer_min)
-
-    return run(g, factory, model, seed=seed)
 
 
 class _VoteProgram(NodeProgram):
@@ -358,9 +348,8 @@ def g2mds_logd(g, seed=0, cfg=None, model=None):
         values = [
             ((rho_exp[v], v) if rho_exp[v] is not None else None) for v in range(n)
         ]
-        out, st = _relay_best(
-            g, values, hops=4, prefer_min=False, model=model, seed=seed
-        )
+        out, st = run(g, lambda ctx: _RelayBestProgram(
+            ctx, values[ctx.node], hops=4, prefer_min=False), model)
         stats.add(st)
         candidates = set()
         for v in range(n):
@@ -377,9 +366,8 @@ def g2mds_logd(g, seed=0, cfg=None, model=None):
             rnk = rngs[c].randrange(max(1, n ** 4))
             # to_words keeps numeric order, which the min-relay compares
             rank_vals[c] = to_words(rnk, 4, bits) + (c,)
-        out, st = _relay_best(
-            g, rank_vals, hops=2, prefer_min=True, model=model, seed=seed
-        )
+        out, st = run(g, lambda ctx: _RelayBestProgram(
+            ctx, rank_vals[ctx.node], hops=2, prefer_min=True), model)
         stats.add(st)
 
         votes = [None] * n
@@ -390,9 +378,7 @@ def g2mds_logd(g, seed=0, cfg=None, model=None):
             cand = best[4]
             votes[v] = (cand, cand if cand == v or gateway is None else gateway)
 
-        tallies, st = run(
-            g, lambda ctx: _VoteProgram(ctx, votes[ctx.node]), model, seed=seed
-        )
+        tallies, st = run(g, lambda ctx: _VoteProgram(ctx, votes[ctx.node]), model)
         stats.add(st)
 
         winners = {
@@ -402,8 +388,7 @@ def g2mds_logd(g, seed=0, cfg=None, model=None):
         }
 
         flags, st = run(
-            g, lambda ctx: _CoverFloodProgram(ctx, ctx.node in winners),
-            model, seed=seed,
+            g, lambda ctx: _CoverFloodProgram(ctx, ctx.node in winners), model
         )
         stats.add(st)
         newly = 0

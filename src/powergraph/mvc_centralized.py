@@ -55,17 +55,11 @@ def _snapshot(adj):
     return verts, edges
 
 
-def vc_53_on_square(h, red_edges=()):
-    """Run the three-part cover routine on a squared graph h.
-
-    red_edges (the distance-1 edges inside h) are recorded on the trace
-    for analysis; the algorithm itself treats all edges alike.
-    Returns (cover set, PhaseTrace).
+def vc_53_on_square(h):
+    """Run the three-part cover routine on a squared graph h, treating
+    all its edges alike.  Returns (cover set, PhaseTrace).
     """
     trace = PhaseTrace()
-    trace.red_edges = frozenset(
-        (min(u, v), max(u, v)) for (u, v) in red_edges
-    )
     adj = {v: set(h.adj[v]) for v in range(h.n) if h.degree(v) > 0}
 
     def take_group(vs, part_v, part_w):
@@ -135,13 +129,14 @@ def g2mvc_53(g):
     if g.weights is not None:
         raise InputError("g2mvc_53 is unweighted")
     h = square(g)
-    cover, trace = vc_53_on_square(h, red_edges=g.edges())
+    cover, trace = vc_53_on_square(h)
     return make_solution(g, VC2, cover), trace
 
 
 def g2mvc_hybrid(g, model=None, seed=0):
     """Distributed 5/3-approximation in O(n) rounds: clustering phase with
-    eps = 1/2, then the leader runs the three-part routine on H = G^2[U]."""
+    eps = 1/2, then the leader runs the three-part routine on H = G^2[U].
+    Deterministic: `seed` is ignored."""
     if g.weights is not None:
         raise InputError("g2mvc_hybrid is unweighted")
     if not g.is_connected():
@@ -149,10 +144,8 @@ def g2mvc_hybrid(g, model=None, seed=0):
     if model is None:
         model = Model(CONGEST)
     eps = Fraction(1, 2)
-    S, _, stats = phase1_unweighted(g, eps, model, seed=seed)
+    S, _, stats = phase1_unweighted(g, eps, model)
     U = set(range(g.n)) - S
-    cover, st = leader_phase2(
-        g, U, model, seed, lambda H: vc_53_on_square(H)[0]
-    )
+    cover, st = leader_phase2(g, U, model, lambda H: vc_53_on_square(H)[0])
     stats.add(st)
     return make_solution(g, VC2, S | cover), stats

@@ -18,8 +18,8 @@ from .protocols import (
     scatter,
 )
 from .sim import (
-    CLIQUE, CONGEST, Model, NodeProgram, RoundStats, from_words, run, to_words,
-    word_bits,
+    CLIQUE, CONGEST, Model, NodeProgram, RoundStats, from_words, node_rng, run,
+    to_words, word_bits,
 )
 
 
@@ -114,15 +114,13 @@ class _Phase1Program(NodeProgram):
         return {}
 
 
-def phase1_unweighted(g, eps, model=None, seed=0):
+def phase1_unweighted(g, eps, model=None):
     """Run Phase I alone; returns (S, per-node diagnostics, RoundStats)."""
     l, _ = effective_epsilon(eps)
     if model is None:
         model = Model(CONGEST)
     i_max = g.n // (l + 1) + 1
-    outputs, stats = run(
-        g, lambda ctx: _Phase1Program(ctx, l, i_max), model, seed=seed
-    )
+    outputs, stats = run(g, lambda ctx: _Phase1Program(ctx, l, i_max), model)
     S = {v for v in range(g.n) if outputs[v]["in_S"]}
     return S, outputs, stats
 
@@ -180,7 +178,7 @@ def _decode_f(gathered, n, weights=None):
     return build_H_from_F(F, U_seen, n, weights=weights)
 
 
-def leader_phase2(g, U, model, seed, solve):
+def leader_phase2(g, U, model, solve):
     """Phase II: gather F at a leader, rebuild H = G^2[U] with g's
     weights, cover H with solve(H) and send the cover back.
 
@@ -195,16 +193,16 @@ def leader_phase2(g, U, model, seed, solve):
     if clique:
         tree, stats = (0, {}), RoundStats()
     else:
-        leader, parent, _, stats = elect_leader_bfs(g, model, seed=seed)
+        leader, parent, _, stats = elect_leader_bfs(g, model)
         tree = (leader, parent)
-    gathered, st = pipelined_convergecast(g, tree, _f_items(g, U), model, seed=seed)
+    gathered, st = pipelined_convergecast(g, tree, _f_items(g, U), model)
     stats.add(st)
     cover = set(solve(_decode_f(gathered, g.n, g.weights)))
     if clique:
-        _, st = scatter(g, 0, [int(v in cover) for v in range(g.n)], model, seed=seed)
+        _, st = scatter(g, 0, [int(v in cover) for v in range(g.n)], model)
     else:
         payload = [(v,) for v in sorted(cover)]
-        _, st = pipelined_broadcast(g, tree, payload, model, seed=seed)
+        _, st = pipelined_broadcast(g, tree, payload, model)
     stats.add(st)
     return cover, stats
 
@@ -222,7 +220,8 @@ def g2mvc_trivial(g):
 
 
 def g2mvc_eps(g, eps, model=None, seed=0):
-    """(1+eps)-approximate vertex cover of G^2 in O(n/eps) CONGEST rounds."""
+    """(1+eps)-approximate vertex cover of G^2 in O(n/eps) CONGEST rounds.
+    Deterministic: `seed` is ignored."""
     if g.weights is not None:
         raise InputError("g2mvc_eps is unweighted; use g2mwvc_eps")
     if not g.is_connected():
@@ -234,9 +233,9 @@ def g2mvc_eps(g, eps, model=None, seed=0):
         model = Model(CONGEST)
     if eps > 1:
         return g2mvc_trivial(g), RoundStats()
-    S, _, stats = phase1_unweighted(g, eps, model, seed=seed)
+    S, _, stats = phase1_unweighted(g, eps, model)
     U = set(range(g.n)) - S
-    members, st2 = leader_phase2(g, U, model, seed, _solve_exact)
+    members, st2 = leader_phase2(g, U, model, _solve_exact)
     stats.add(st2)
     return make_solution(g, VC2, S | members), stats
 
@@ -338,7 +337,7 @@ class _WeightedPassProgram(NodeProgram):
         return {}
 
 
-def weighted_phase1(g, eps, model=None, seed=0):
+def weighted_phase1(g, eps, model=None):
     """Weighted Phase I alone; returns (S, RoundStats)."""
     if g.weights is None:
         raise InputError("weighted Phase I requires vertex weights")
@@ -351,7 +350,7 @@ def weighted_phase1(g, eps, model=None, seed=0):
     # a vertex with no neighbor sends nothing, so its weight need not fit
     msgs = [_encode_weight(g.weight(v), bits) if g.adj[v] else None
             for v in range(g.n)]
-    heard, stats = exchange(g, msgs, model, seed=seed)
+    heard, stats = exchange(g, msgs, model)
     states = []
     for v in range(g.n):
         zero = g.weight(v) == 0
@@ -368,10 +367,7 @@ def weighted_phase1(g, eps, model=None, seed=0):
     # each productive pass moves at least one vertex into S
     for _pass in range(g.n + 1):
         outputs, st = run(
-            g,
-            lambda ctx: _WeightedPassProgram(ctx, eps, **states[ctx.node]),
-            model,
-            seed=seed,
+            g, lambda ctx: _WeightedPassProgram(ctx, eps, **states[ctx.node]), model
         )
         stats.add(st)
         for v, o in enumerate(outputs):
@@ -388,16 +384,17 @@ def weighted_phase1(g, eps, model=None, seed=0):
 
 
 def g2mwvc_eps(g, eps, model=None, seed=0):
-    """(1+eps)-approximate weighted vertex cover of G^2, exact rationals."""
+    """(1+eps)-approximate weighted vertex cover of G^2, exact rationals.
+    Deterministic: `seed` is ignored."""
     if g.weights is None:
         raise InputError("g2mwvc_eps requires vertex weights")
     if not g.is_connected():
         raise ConnectivityError("g2mwvc_eps requires a connected graph")
     if model is None:
         model = Model(CONGEST)
-    S, stats = weighted_phase1(g, eps, model, seed=seed)
+    S, stats = weighted_phase1(g, eps, model)
     U = set(range(g.n)) - S
-    members, st2 = leader_phase2(g, U, model, seed, _solve_exact)
+    members, st2 = leader_phase2(g, U, model, _solve_exact)
     stats.add(st2)
     return make_solution(g, VC2, S | members), stats
 
@@ -417,8 +414,9 @@ class _VotingProgram(NodeProgram):
 
     RANK_WORDS = 4
 
-    def __init__(self, ctx, eps, max_phases):
+    def __init__(self, ctx, eps, max_phases, rng):
         super().__init__(ctx)
+        self.rng = rng  # this node's rank stream
         self.threshold = Fraction(8, 1) / eps + 2
         self.max_phases = max_phases
         self.in_R = True
@@ -438,7 +436,7 @@ class _VotingProgram(NodeProgram):
             self.is_cand = len(self.r_nbrs) > self.threshold
             if self.is_cand:
                 self.declared_dr = len(self.r_nbrs)
-                rank = ctx.rng.randrange(max(1, ctx.n ** 4))
+                rank = self.rng.randrange(max(1, ctx.n ** 4))
                 msg = to_words(rank, self.RANK_WORDS, ctx.word_bits)
                 return {u: msg for u in range(ctx.n) if u != ctx.node}
             return {}
@@ -480,10 +478,9 @@ def g2mvc_cc_voting(g, eps, seed=0, model=None):
         raise InputError("g2mvc_cc_voting runs in the CLIQUE model")
     max_phases = 8 * max(1, math.ceil(math.log2(g.n + 1))) + 16
 
-    outputs, stats = run(
-        g, lambda ctx: _VotingProgram(ctx, eps, max_phases), model, seed=seed
-    )
+    outputs, stats = run(g, lambda ctx: _VotingProgram(
+        ctx, eps, max_phases, node_rng(seed, ctx.node)), model)
     U = {v for v, in_R in enumerate(outputs) if in_R}
-    members, st2 = leader_phase2(g, U, model, seed, _solve_exact)
+    members, st2 = leader_phase2(g, U, model, _solve_exact)
     stats.add(st2)
     return make_solution(g, VC2, (set(range(g.n)) - U) | members), stats

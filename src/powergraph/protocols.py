@@ -26,21 +26,21 @@ class _StreamProgram(NodeProgram):
         return {}
 
 
-def stream(g, items, model, seed=0):
+def stream(g, items, model):
     """Every node v sends the messages items[v] to all its neighbors, one
     per round.
 
     Returns (per-node {neighbor: [messages]}, RoundStats).
     """
-    return run(g, lambda ctx: _StreamProgram(ctx, items[ctx.node]), model, seed=seed)
+    return run(g, lambda ctx: _StreamProgram(ctx, items[ctx.node]), model)
 
 
-def exchange(g, msgs, model, seed=0):
+def exchange(g, msgs, model):
     """One round in which every node v tells its neighbors msgs[v].
 
     Returns (per-node {neighbor: message}, RoundStats).
     """
-    heard, stats = stream(g, [[m] for m in msgs], model, seed=seed)
+    heard, stats = stream(g, [[m] for m in msgs], model)
     return [{s: ms[0] for s, ms in h.items()} for h in heard], stats
 
 
@@ -66,7 +66,7 @@ class _BfsFloodProgram(NodeProgram):
         return dict.fromkeys(self.ctx.neighbors, msg)
 
 
-def elect_leader_bfs(g, model=None, seed=0):
+def elect_leader_bfs(g, model=None):
     """Return (leader id, parent map, depth map, RoundStats).
 
     Leader is the minimum id; the tree is the BFS tree grown by flooding.
@@ -75,7 +75,7 @@ def elect_leader_bfs(g, model=None, seed=0):
         raise ConnectivityError("leader election requires a connected graph")
     if model is None:
         model = Model(CONGEST)
-    outputs, stats = run(g, _BfsFloodProgram, model, seed=seed)
+    outputs, stats = run(g, _BfsFloodProgram, model)
     leaders = {o[0] for o in outputs}
     if leaders != {0} and g.n > 0:
         raise ConnectivityError("flood did not converge to a single leader")
@@ -110,7 +110,7 @@ class _PipeProgram(NodeProgram):
         return {}
 
 
-def pipelined_convergecast(g, tree, items, model, seed=0):
+def pipelined_convergecast(g, tree, items, model):
     """Gather every node's items at the tree root: along tree edges under
     CONGEST, straight to the root under CLIQUE.
 
@@ -134,11 +134,11 @@ def pipelined_convergecast(g, tree, items, model, seed=0):
             raise InputError(f"node {v} has no parent in the tree")
         return _PipeProgram(ctx, (p,), items[v])
 
-    outputs, stats = run(g, factory, model, seed=seed)
+    outputs, stats = run(g, factory, model)
     return (sorted(outputs[root]) if g.n else []), stats
 
 
-def pipelined_broadcast(g, tree, payload, model, seed=0):
+def pipelined_broadcast(g, tree, payload, model):
     """Deliver `payload` (list of word tuples) from the root to every node.
     The first message announces how many items follow."""
     root, parent = tree
@@ -155,7 +155,7 @@ def pipelined_broadcast(g, tree, payload, model, seed=0):
             return _PipeProgram(ctx, children[root], sent, kept=list(sent))
         return _PipeProgram(ctx, children[ctx.node], (), kept=[])
 
-    outputs, stats = run(g, factory, model, seed=seed)
+    outputs, stats = run(g, factory, model)
     return [sorted(o[1:]) for o in outputs], stats
 
 
@@ -172,7 +172,7 @@ class _ScatterProgram(NodeProgram):
         return self.outbox if r == 0 else {}
 
 
-def scatter(g, root, words, model, seed=0):
+def scatter(g, root, words, model):
     """One CLIQUE round in which the root tells every other node v the
     word words[v]: n - 1 messages of one word.
 
@@ -180,4 +180,4 @@ def scatter(g, root, words, model, seed=0):
     """
     outbox = {v: (words[v],) for v in range(g.n) if v != root}
     return run(g, lambda ctx: _ScatterProgram(
-        ctx, outbox if ctx.node == root else {}), model, seed=seed)
+        ctx, outbox if ctx.node == root else {}), model)

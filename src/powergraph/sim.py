@@ -3,8 +3,8 @@
 Messages are tuples of word-sized integers.  A word is ceil(log2(n+1)) bits;
 every message may carry at most `bandwidth_words` words.  The simulator
 delivers messages only at round boundaries, so execution order within a
-round cannot matter, and all randomness flows from per-node streams keyed
-by (seed, node id).
+round cannot matter.  The engine itself draws nothing: a program that
+draws takes its node's stream from node_rng through its constructor.
 
 One rule ends a run.  Every node is stepped in sweep 0; after that a node
 is stepped only when it has mail or its timer is due: a node's `wake_at`
@@ -97,28 +97,20 @@ def node_rng(seed, v, salt=0):
 class NodeContext:
     """Read-only per-node environment handed to NodePrograms."""
 
-    __slots__ = ("node", "n", "neighbors", "model", "word_bits", "seed", "_rng")
+    __slots__ = ("node", "n", "neighbors", "model", "word_bits")
 
-    def __init__(self, node, n, neighbors, model, bits, seed):
+    def __init__(self, node, n, neighbors, model, bits):
         self.node = node
         self.n = n
         self.neighbors = neighbors
         self.model = model
         self.word_bits = bits
-        self.seed = seed
-        self._rng = None
-
-    @property
-    def rng(self):
-        """This node's random stream, made on first use."""
-        if self._rng is None:
-            self._rng = node_rng(self.seed, self.node)
-        return self._rng
 
 
 class NodeProgram:
     """Base class: subclasses take their inputs as constructor arguments,
-    override step() and keep `output` current.
+    a random stream among them if they draw, override step() and keep
+    `output` current.
 
     step() returns this sweep's outbox, {destination: word tuple}.  A node
     is stepped in sweep 0, whenever it has mail, and at the sweep its
@@ -141,6 +133,7 @@ class NodeProgram:
 
 
 def default_round_cap(n):
+    """100 n^2 sweeps, or the positive integer in POWERGRAPH_ROUND_CAP."""
     env = os.environ.get(ROUND_CAP_ENV)
     if env is None:
         return 100 * max(1, n) * max(1, n)
@@ -185,8 +178,9 @@ def post(v, outbox, mail, sweep, n, nbrs, bits, limit_words):
     return longest
 
 
-def run(g, factory, model, seed=0, round_cap=None):
-    """Execute one NodeProgram per vertex until the stop rule above holds.
+def run(g, factory, model):
+    """Execute one NodeProgram per vertex until the stop rule above holds,
+    or raise RoundCapError after default_round_cap(n) sweeps.
 
     factory(ctx) -> NodeProgram.  Returns (list of outputs, RoundStats).
 
@@ -195,11 +189,8 @@ def run(g, factory, model, seed=0, round_cap=None):
     """
     n = g.n
     bits = word_bits(n)
-    if round_cap is None:
-        round_cap = default_round_cap(n)
-    programs = [
-        factory(NodeContext(v, n, g.adj[v], model, bits, seed)) for v in range(n)
-    ]
+    round_cap = default_round_cap(n)
+    programs = [factory(NodeContext(v, n, g.adj[v], model, bits)) for v in range(n)]
     limit_words = model.bandwidth_words
     congest = model.variant == CONGEST
     nbr_sets = [set(a) for a in g.adj] if congest else None

@@ -170,7 +170,7 @@ def class_selectable(g, members, eps):
     return w_max <= total * eps / (1 + eps)
 
 
-def dense_run(g, factory, model, seed=0, round_cap=None):
+def dense_run(g, factory, model):
     """Reference for `powergraph.sim.run`: every node is stepped in every
     sweep, mail or not, under the same stop and round-count rules.
 
@@ -185,11 +185,8 @@ def dense_run(g, factory, model, seed=0, round_cap=None):
 
     n = g.n
     bits = word_bits(n)
-    if round_cap is None:
-        round_cap = default_round_cap(n)
-    programs = [
-        factory(NodeContext(v, n, g.adj[v], model, bits, seed)) for v in range(n)
-    ]
+    round_cap = default_round_cap(n)
+    programs = [factory(NodeContext(v, n, g.adj[v], model, bits)) for v in range(n)]
     congest = model.variant == CONGEST
     stats = RoundStats()
     inboxes = [{} for _ in range(n)]

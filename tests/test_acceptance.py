@@ -93,12 +93,12 @@ def eps_matrix():
             # local structure after the clustering phase: few uncovered
             # neighbors (unweighted) and bounded class survivors (weighted)
             l, _ = effective_epsilon(eps)
-            S, outs, _ = phase1_unweighted(g, eps, seed=seed)
+            S, outs, _ = phase1_unweighted(g, eps)
             U = set(range(g.n)) - S
             for v in range(g.n):
                 assert len(frozenset(g.adj[v]) & U) <= l
                 results["u_nbr_checks"] += 1
-            Sw, _ = weighted_phase1(gw, eps, seed=seed)
+            Sw, _ = weighted_phase1(gw, eps)
             Uw = {v for v in range(gw.n) if v not in Sw}
             bound = -(-(2 * (1 + eps)) // eps)  # ceil(2(1+eps)/eps)
             for c in range(gw.n):
@@ -174,7 +174,8 @@ def test_05_centralized_five_thirds():
             assert not (adj[a] & adj[b])
 
         # surviving distance-1 edges form a matching
-        red_r = [e for e in edges if e in trace.red_edges]
+        red = set(g.edges())
+        red_r = [e for e in edges if e in red]
         touched = [v for e in red_r for v in e]
         assert len(touched) == len(set(touched))
 

@@ -69,7 +69,7 @@ def pin_record(label, g):
         "exact_mds2": _sha(sorted(exact_mds(h).members)),
     }
     if g.weights is None:
-        cover, tr = vc_53_on_square(h, red_edges=g.edges())
+        cover, tr = vc_53_on_square(h)
         parts = [sorted(cover)] + [
             sorted(getattr(tr, p)) for p in ("V1", "V2", "V3", "W1", "W2", "W3")
         ]

@@ -46,7 +46,8 @@ class TestTraceInvariants:
     def test_structure_on_random_graphs(self):
         for g in random_cases(25, 11, 1200):
             h = square(g)
-            cover, trace = vc_53_on_square(h, red_edges=g.edges())
+            cover, trace = vc_53_on_square(h)
+            red = set(g.edges())
             assert cover == trace.V1 | trace.V2 | trace.V3
             assert not (trace.W1 & trace.W2)
             assert not (trace.W1 & trace.W3)
@@ -67,12 +68,12 @@ class TestTraceInvariants:
                 assert not (adj[a] & adj[b])  # no triangle through (a, b)
 
             # the distance-1 edges that survive part 1 form a matching
-            red_r = [e for e in edges if e in trace.red_edges]
+            red_r = [e for e in edges if e in red]
             touched = [v for e in red_r for v in e]
             assert len(touched) == len(set(touched))
 
             # blue-edge bound: s1 >= number of distance-2 edges of R
-            blue_r = [e for e in edges if e not in trace.red_edges]
+            blue_r = [e for e in edges if e not in red]
             assert trace.s1 >= len(blue_r)
 
             # after part 2 every remaining vertex has degree >= 4
@@ -88,7 +89,7 @@ class TestTraceInvariants:
     def test_part_charging_against_oracle(self):
         for g in random_cases(20, 10, 3400, p=0.5):
             h = square(g)
-            cover, trace = vc_53_on_square(h, red_edges=g.edges())
+            cover, trace = vc_53_on_square(h)
             for w, s, num, den in (
                 (trace.W1, trace.s1, 2, 3),
                 (trace.W2, trace.s2, 3, 5),

@@ -18,6 +18,7 @@ from powergraph.mvc_distributed import (
     phase1_unweighted,
     weighted_phase1,
 )
+from powergraph.mvc_centralized import g2mvc_hybrid
 from powergraph.sim import CLIQUE, CONGEST, Model, run
 
 from oracles import (
@@ -344,6 +345,32 @@ class TestG2MwvcEps:
         assert s1.members == s2.members
 
 
+class TestSeedIgnored:
+    """The clustering algorithms and the 5/3 hybrid draw nothing: every
+    seed gives the same cover and the same RoundStats."""
+
+    @pytest.mark.parametrize("variant", [CONGEST, CLIQUE])
+    def test_same_output_for_every_seed(self, variant):
+        rng = random.Random(79)
+        shapes = [random_connected_gnp(10, 0.4, seed=1500),
+                  random_connected_gnp(14, 0.5, seed=1501),
+                  sparse_connected(40, 4, rng)]
+        model = Model(variant)
+        half = Fraction(1, 2)
+        for edges in shapes:
+            n = 1 + max(v for e in edges for v in e)
+            g = Graph(n, edges)
+            gw = Graph(n, edges, weights={v: rng.randint(1, 9) for v in range(n)})
+            for solve in (
+                lambda s: g2mvc_eps(g, half, model, seed=s),
+                lambda s: g2mwvc_eps(gw, half, model, seed=s),
+                lambda s: g2mvc_hybrid(g, model, seed=s),
+            ):
+                outs = {repr((sorted(sol.members), stats))
+                        for sol, stats in map(solve, range(4))}
+                assert len(outs) == 1
+
+
 class TestLeaderPhase2:
     # node 0 and its only neighbor 1 lie outside U, so node 0 holds no item
     G = Graph(7, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6),
@@ -358,13 +385,13 @@ class TestLeaderPhase2:
             self, monkeypatch, U, counts):
         g = self.G
         solve = mvc_distributed._solve_exact
-        want, _ = leader_phase2(g, U, Model(CONGEST), 0, solve)
+        want, _ = leader_phase2(g, U, Model(CONGEST), solve)
 
         def no_election(*args, **kwargs):
             raise AssertionError("CLIQUE Phase II ran an election")
 
         monkeypatch.setattr(mvc_distributed, "elect_leader_bfs", no_election)
-        cover, stats = leader_phase2(g, U, Model(CLIQUE), 0, solve)
+        cover, stats = leader_phase2(g, U, Model(CLIQUE), solve)
         assert cover == want
         h_edges = [(a, b) for (a, b) in square(g).edges() if a in U and b in U]
         assert cover <= U and all(a in cover or b in cover for a, b in h_edges)

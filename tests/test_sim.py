@@ -33,6 +33,7 @@ from powergraph.sim import (
     Model,
     NodeProgram,
     from_words,
+    node_rng,
     run,
     to_words,
     word_bits,
@@ -147,36 +148,34 @@ class TestRun:
         assert type(caught.value) is error
         assert str(caught.value) == text
 
-    def test_round_cap(self):
+    @pytest.mark.parametrize("cap", [5, 10])
+    def test_round_cap_env_override(self, monkeypatch, cap):
         class Forever(NodeProgram):
             def step(self, r, inbox):
                 self.wake_at = r + 1
                 return {}
 
-        with pytest.raises(RoundCapError):
-            run(path(2), Forever, Model(CONGEST), round_cap=10)
-
-    def test_round_cap_env_override(self, monkeypatch):
-        class Forever(NodeProgram):
-            def step(self, r, inbox):
-                self.wake_at = r + 1
-                return {}
-
-        monkeypatch.setenv("POWERGRAPH_ROUND_CAP", "5")
-        with pytest.raises(RoundCapError):
+        monkeypatch.setenv("POWERGRAPH_ROUND_CAP", str(cap))
+        with pytest.raises(RoundCapError, match=f"within {cap} rounds"):
             run(path(2), Forever, Model(CONGEST))
 
     def test_determinism_with_rng(self):
         class RandomReport(NodeProgram):
+            def __init__(self, ctx, seed):
+                super().__init__(ctx)
+                self.rng = node_rng(seed, ctx.node)
+
             def step(self, r, inbox):
-                self.output = self.ctx.rng.randrange(1 << 20)
+                self.output = self.rng.randrange(1 << 20)
                 return {}
 
-        out1, _ = run(path(4), RandomReport, Model(CONGEST), seed=9)
-        out2, _ = run(path(4), RandomReport, Model(CONGEST), seed=9)
-        out3, _ = run(path(4), RandomReport, Model(CONGEST), seed=10)
+        def report(seed):
+            return run(path(4), lambda ctx: RandomReport(ctx, seed), Model(CONGEST))[0]
+
+        out1, out2, out3 = report(9), report(9), report(10)
         assert out1 == out2
         assert out1 != out3
+        assert len(set(out1)) == 4  # each node draws from its own stream
 
     def test_word_bits(self):
         assert word_bits(1) == 1
@@ -271,10 +270,11 @@ class TestWake:
         with pytest.raises(InputError):
             run(Graph(1, []), prog, Model(CONGEST))
 
-    def test_far_timer_hits_round_cap_without_stepping_through(self):
+    def test_far_timer_hits_round_cap_without_stepping_through(self, monkeypatch):
+        monkeypatch.setenv("POWERGRAPH_ROUND_CAP", str(10**8))
         prog = type("Far", (self.Timer,), {"plan": {0: 10**9}})
         with pytest.raises(RoundCapError):
-            run(Graph(1, []), prog, Model(CONGEST), round_cap=10**8)
+            run(Graph(1, []), prog, Model(CONGEST))
 
 
 @st.composite
@@ -311,15 +311,13 @@ class TestSleepingIsSound:
         est_model = Model(variant, bandwidth_words=bandwidth)
         tree = elect_leader_bfs(g, model)[:2]
         calls = [
-            lambda: phase1_unweighted(g, Fraction(1, 2), model, seed=seed),
-            lambda: weighted_phase1(gw, Fraction(1, 2), model, seed=seed),
+            lambda: phase1_unweighted(g, Fraction(1, 2), model),
+            lambda: weighted_phase1(gw, Fraction(1, 2), model),
             lambda: estimate_2hop_counts(g, U, cfg, seed=seed, model=est_model),
             lambda: g2mds_logd(g, seed=seed, cfg=cfg, model=model),
             lambda: g2mvc_eps(g, Fraction(1, 2), model, seed=seed),
             lambda: g2mwvc_eps(gw, Fraction(1, 2), model, seed=seed),
-            lambda: pipelined_broadcast(
-                g, tree, [(v,) for v in range(g.n)], model, seed=seed
-            ),
+            lambda: pipelined_broadcast(g, tree, [(v,) for v in range(g.n)], model),
         ]
         if variant == CLIQUE:
             calls.append(
