@@ -187,8 +187,6 @@ def _execute(algo, g, sq, eps, seed, model_name):
         if algo == "g2mvc-trivial":
             return g2mvc_trivial(g), RoundStats()
         if algo == "g2mvc-53":
-            if g.weights is not None:
-                raise InputError("g2mvc_53 is unweighted")
             cover, _trace = vc_53_on_square(sq)
             return make_solution(g, VC2, cover), RoundStats()
         if algo == "exact-mvc2":

@@ -33,7 +33,7 @@ def exact_mvc(g, cap=DEFAULT_CAP):
         chosen = set()
         # zero-weight vertices are free: take any that covers an edge
         for v in sorted(adj):
-            if v in adj and w[v] == 0 and adj[v]:
+            if v in adj and w[v] == 0:
                 _take_into_cover(adj, chosen, v)
         best = _MvcBest()
         _mvc_branch(w, adj, chosen, best)
@@ -91,18 +91,15 @@ def _take_into_cover(adj, chosen, v):
 
 
 def _mvc_reduce(w, adj, chosen):
-    """Apply degree-0/degree-1/domination rules until none fires."""
+    """Apply the degree-1 and domination rules until neither fires.  No
+    vertex in adj is isolated: _take_into_cover drops one with its last edge."""
     changed = True
     while changed:
         changed = False
         for v in sorted(adj):
             if v not in adj:
                 continue
-            deg = len(adj[v])
-            if deg == 0:
-                del adj[v]
-                changed = True
-            elif deg == 1:
+            if len(adj[v]) == 1:
                 u = next(iter(adj[v]))
                 # the edge needs v or u; u is never worse when not heavier
                 if w[u] <= w[v]:
@@ -110,13 +107,10 @@ def _mvc_reduce(w, adj, chosen):
                     changed = True
         if changed:
             continue
-        # domination: edge (u,v) with N(v)\{u} subseteq N(u) and w(u)<=w(v)
+        # domination: edge (u,v) with N(v)\{u} subseteq N(u) and w(u)<=w(v);
+        # the scan stops at its first take, so adj does not change under it
         for v in sorted(adj):
-            if v not in adj:
-                continue
             for u in sorted(adj[v]):
-                if u not in adj:
-                    continue
                 if w[u] <= w[v] and adj[v] - {u} <= adj[u]:
                     _take_into_cover(adj, chosen, u)
                     changed = True
@@ -260,10 +254,7 @@ def _mds_branch(w, candidates, uncovered, chosen, best):
         return
     # branch on the hardest element: fewest candidates, smallest id on ties
     e = min(uncovered, key=lambda e: (len(cover[e]), e))
-    covers = sorted(cover[e])
-    if not covers:
-        return  # infeasible along this branch
-    for v in covers:
+    for v in sorted(cover[e]):  # none: infeasible along this branch
         c2 = {u: set(s) for u, s in candidates.items()}
         u2 = uncovered - c2[v]
         ch2 = chosen | {v}

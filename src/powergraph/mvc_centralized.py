@@ -10,9 +10,9 @@ after the (1+eps) clustering phase with eps = 1/2.
 
 from fractions import Fraction
 
-from .errors import ConnectivityError, InputError
+from .errors import InputError
 from .graph import VC2, Graph, make_solution, matching_2approx, square
-from .mvc_distributed import leader_phase2, phase1_unweighted
+from .mvc_distributed import check_input, leader_phase2, phase1_unweighted
 from .sim import CONGEST, Model
 
 
@@ -59,6 +59,8 @@ def vc_53_on_square(h):
     """Run the three-part cover routine on a squared graph h, treating
     all its edges alike.  Returns (cover set, PhaseTrace).
     """
+    if h.weights is not None:
+        raise InputError("g2mvc_53 is unweighted")
     trace = PhaseTrace()
     adj = {v: set(h.adj[v]) for v in range(h.n) if h.degree(v) > 0}
 
@@ -126,10 +128,7 @@ def vc_53_on_square(h):
 
 def g2mvc_53(g):
     """5/3-approximate vertex cover of G^2, centralized and polynomial."""
-    if g.weights is not None:
-        raise InputError("g2mvc_53 is unweighted")
-    h = square(g)
-    cover, trace = vc_53_on_square(h)
+    cover, trace = vc_53_on_square(square(g))
     return make_solution(g, VC2, cover), trace
 
 
@@ -137,15 +136,8 @@ def g2mvc_hybrid(g, model=None, seed=0):
     """Distributed 5/3-approximation in O(n) rounds: clustering phase with
     eps = 1/2, then the leader runs the three-part routine on H = G^2[U].
     Deterministic: `seed` is ignored."""
-    if g.weights is not None:
-        raise InputError("g2mvc_hybrid is unweighted")
-    if not g.is_connected():
-        raise ConnectivityError("g2mvc_hybrid requires a connected graph")
+    check_input(g, "g2mvc_hybrid")
     if model is None:
         model = Model(CONGEST)
-    eps = Fraction(1, 2)
-    S, _, stats = phase1_unweighted(g, eps, model)
-    U = set(range(g.n)) - S
-    cover, st = leader_phase2(g, U, model, lambda H: vc_53_on_square(H)[0])
-    stats.add(st)
-    return make_solution(g, VC2, S | cover), stats
+    S, _, stats = phase1_unweighted(g, Fraction(1, 2), model)
+    return leader_phase2(g, S, model, lambda H: vc_53_on_square(H)[0], stats)

@@ -178,22 +178,26 @@ def _decode_f(gathered, n, weights=None):
     return build_H_from_F(F, U_seen, n, weights=weights)
 
 
-def leader_phase2(g, U, model, solve):
-    """Phase II: gather F at a leader, rebuild H = G^2[U] with g's
-    weights, cover H with solve(H) and send the cover back.
+def leader_phase2(g, S, model, solve, stats):
+    """Phase II: cover H = G^2[V - S], where S is the first phase's cover.
 
-    Under CONGEST the leader is elected, and its BFS tree carries F up and
-    the cover down.  Under CLIQUE node 0 leads without an election, since
-    every node knows the ids: F comes straight to it, and it tells every
-    other node in one round whether it joins the cover.
+    A leader gathers F, rebuilds H with g's weights, covers it with
+    solve(H) and sends the cover back.  Under CONGEST the leader is
+    elected, and its BFS tree carries F up and the cover down.  Under
+    CLIQUE node 0 leads without an election, since every node knows the
+    ids: F comes straight to it, and it tells every other node in one
+    round whether it joins the cover.
 
-    Returns (cover vertex set, RoundStats).
+    Adds Phase II's costs to the first phase's `stats` and returns
+    (solution S | cover, stats).
     """
+    U = set(range(g.n)) - S
     clique = model.variant == CLIQUE
     if clique:
-        tree, stats = (0, {}), RoundStats()
+        tree = (0, {})
     else:
-        leader, parent, _, stats = elect_leader_bfs(g, model)
+        leader, parent, _, st = elect_leader_bfs(g, model)
+        stats.add(st)
         tree = (leader, parent)
     gathered, st = pipelined_convergecast(g, tree, _f_items(g, U), model)
     stats.add(st)
@@ -204,11 +208,22 @@ def leader_phase2(g, U, model, solve):
         payload = [(v,) for v in sorted(cover)]
         _, st = pipelined_broadcast(g, tree, payload, model)
     stats.add(st)
-    return cover, stats
+    return make_solution(g, VC2, S | cover), stats
 
 
 def _solve_exact(H):
     return exact_mvc(H).members
+
+
+def check_input(g, name, weighted=False):
+    """Raise unless g is connected and carries vertex weights exactly when
+    the algorithm `name` reads them."""
+    if weighted and g.weights is None:
+        raise InputError(f"{name} requires vertex weights")
+    if not weighted and g.weights is not None:
+        raise InputError(f"{name} is unweighted")
+    if not g.is_connected():
+        raise ConnectivityError(f"{name} requires a connected graph")
 
 
 def g2mvc_trivial(g):
@@ -222,10 +237,7 @@ def g2mvc_trivial(g):
 def g2mvc_eps(g, eps, model=None, seed=0):
     """(1+eps)-approximate vertex cover of G^2 in O(n/eps) CONGEST rounds.
     Deterministic: `seed` is ignored."""
-    if g.weights is not None:
-        raise InputError("g2mvc_eps is unweighted; use g2mwvc_eps")
-    if not g.is_connected():
-        raise ConnectivityError("g2mvc_eps requires a connected graph")
+    check_input(g, "g2mvc_eps")
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
@@ -234,10 +246,7 @@ def g2mvc_eps(g, eps, model=None, seed=0):
     if eps > 1:
         return g2mvc_trivial(g), RoundStats()
     S, _, stats = phase1_unweighted(g, eps, model)
-    U = set(range(g.n)) - S
-    members, st2 = leader_phase2(g, U, model, _solve_exact)
-    stats.add(st2)
-    return make_solution(g, VC2, S | members), stats
+    return leader_phase2(g, S, model, _solve_exact, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +264,9 @@ def _decode_weight(words, bits):
 
 
 def weight_class_index(w, w_star):
-    """Class i such that w_star * 2^i <= w < w_star * 2^(i+1)."""
-    i = 0
-    ratio = w / w_star
-    while ratio >= 2:
-        ratio /= 2
-        i += 1
-    return i
+    """Class i such that w_star * 2^i <= w < w_star * 2^(i+1); class 0
+    for w < w_star."""
+    return max(0, (w // w_star).bit_length() - 1)
 
 
 class _WeightedPassProgram(NodeProgram):
@@ -386,17 +391,11 @@ def weighted_phase1(g, eps, model=None):
 def g2mwvc_eps(g, eps, model=None, seed=0):
     """(1+eps)-approximate weighted vertex cover of G^2, exact rationals.
     Deterministic: `seed` is ignored."""
-    if g.weights is None:
-        raise InputError("g2mwvc_eps requires vertex weights")
-    if not g.is_connected():
-        raise ConnectivityError("g2mwvc_eps requires a connected graph")
+    check_input(g, "g2mwvc_eps", weighted=True)
     if model is None:
         model = Model(CONGEST)
     S, stats = weighted_phase1(g, eps, model)
-    U = set(range(g.n)) - S
-    members, st2 = leader_phase2(g, U, model, _solve_exact)
-    stats.add(st2)
-    return make_solution(g, VC2, S | members), stats
+    return leader_phase2(g, S, model, _solve_exact, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -465,10 +464,7 @@ class _VotingProgram(NodeProgram):
 
 def g2mvc_cc_voting(g, eps, seed=0, model=None):
     """Randomized congested-clique cover: O(log n + 1/eps) rounds w.h.p."""
-    if g.weights is not None:
-        raise InputError("g2mvc_cc_voting is unweighted")
-    if not g.is_connected():
-        raise ConnectivityError("g2mvc_cc_voting requires a connected graph")
+    check_input(g, "g2mvc_cc_voting")
     eps = Fraction(eps)
     if eps <= 0:
         raise InputError("eps must be positive")
@@ -480,7 +476,5 @@ def g2mvc_cc_voting(g, eps, seed=0, model=None):
 
     outputs, stats = run(g, lambda ctx: _VotingProgram(
         ctx, eps, max_phases, node_rng(seed, ctx.node)), model)
-    U = {v for v, in_R in enumerate(outputs) if in_R}
-    members, st2 = leader_phase2(g, U, model, _solve_exact)
-    stats.add(st2)
-    return make_solution(g, VC2, (set(range(g.n)) - U) | members), stats
+    S = {v for v, in_R in enumerate(outputs) if not in_R}
+    return leader_phase2(g, S, model, _solve_exact, stats)

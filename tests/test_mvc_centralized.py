@@ -38,8 +38,41 @@ class TestG2Mvc53Examples:
         assert trace.V2 == {1}  # degree-1 rule takes the neighbor
 
     def test_rejects_weighted(self):
-        with pytest.raises(InputError):
-            g2mvc_53(Graph(2, [(0, 1)], weights={0: 1, 1: 1}))
+        g = Graph(2, [(0, 1)], weights={0: 1, 1: 1})
+        with pytest.raises(InputError, match="g2mvc_53 is unweighted"):
+            g2mvc_53(g)
+        with pytest.raises(InputError, match="g2mvc_53 is unweighted"):
+            vc_53_on_square(square(g))
+
+
+PETERSEN = Graph(10, [(i, (i + 1) % 5) for i in range(5)]
+                 + [(i, i + 5) for i in range(5)]
+                 + [(5 + i, 5 + (i + 2) % 5) for i in range(5)])
+# its square takes the degree-2 rule after part 1's triangles
+SEVEN = Graph(7, [(0, 1), (1, 2), (1, 4), (1, 6), (2, 3), (2, 5), (3, 4),
+                  (5, 6)])
+
+
+class TestDegreeRules:
+    """Part 2's degree-2 and degree-3 rules.  The routine accepts any
+    graph, and squares rarely reach these rules."""
+
+    @pytest.mark.parametrize("h,v1,v2", [
+        (cycle(5), set(), {1, 2, 4}),  # degree 2
+        (Graph(6, [(a, b) for a in range(3) for b in range(3, 6)]),
+         set(), {1, 2, 3, 4, 5}),  # K3,3: degree 3
+        (PETERSEN, set(), {1, 2, 3, 4, 5, 8, 9}),  # degree 3, then 1
+        (square(SEVEN), {0, 1, 2}, {4, 5, 6}),  # degree 2 in a square
+    ], ids=["C5", "K33", "petersen", "square"])
+    def test_rule_takes(self, h, v1, v2):
+        cover, trace = vc_53_on_square(h)
+        assert (trace.V1, trace.V2, trace.V3) == (v1, v2, set())
+        assert all(a in cover or b in cover for a, b in h.edges())
+
+    def test_square_case_within_five_thirds(self):
+        cover, _ = vc_53_on_square(square(SEVEN))
+        assert len(cover) == 6 and len(exact_mvc(square(SEVEN)).members) == 5
+        assert is_feasible(SEVEN, VC2, cover)
 
 
 class TestTraceInvariants:

@@ -19,7 +19,7 @@ from powergraph.mvc_distributed import (
     weighted_phase1,
 )
 from powergraph.mvc_centralized import g2mvc_hybrid
-from powergraph.sim import CLIQUE, CONGEST, Model, run
+from powergraph.sim import CLIQUE, CONGEST, Model, RoundStats, run
 
 from oracles import (
     brute_min_vc, class_selectable, random_connected_gnp, sparse_connected,
@@ -371,6 +371,22 @@ class TestSeedIgnored:
                 assert len(outs) == 1
 
 
+@pytest.mark.parametrize("name,solve,weighted", [
+    ("g2mvc_eps", lambda g: g2mvc_eps(g, 1), False),
+    ("g2mwvc_eps", lambda g: g2mwvc_eps(g, 1), True),
+    ("g2mvc_hybrid", g2mvc_hybrid, False),
+    ("g2mvc_cc_voting", lambda g: g2mvc_cc_voting(g, 1), False),
+])
+def test_input_errors_name_the_algorithm(name, solve, weighted):
+    w = {v: 1 for v in range(4)}
+    wrong = Graph(4, [(0, 1), (1, 2), (2, 3)], weights=None if weighted else w)
+    split = Graph(4, [(0, 1), (2, 3)], weights=w if weighted else None)
+    with pytest.raises(InputError, match=name):
+        solve(wrong)
+    with pytest.raises(ConnectivityError, match=name):
+        solve(split)
+
+
 class TestLeaderPhase2:
     # node 0 and its only neighbor 1 lie outside U, so node 0 holds no item
     G = Graph(7, [(0, 1), (1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6),
@@ -384,15 +400,17 @@ class TestLeaderPhase2:
     def test_clique_gathers_without_election_and_scatters_in_one_round(
             self, monkeypatch, U, counts):
         g = self.G
+        S = set(range(g.n)) - U
         solve = mvc_distributed._solve_exact
-        want, _ = leader_phase2(g, U, Model(CONGEST), solve)
+        want, _ = leader_phase2(g, S, Model(CONGEST), solve, RoundStats())
 
         def no_election(*args, **kwargs):
             raise AssertionError("CLIQUE Phase II ran an election")
 
         monkeypatch.setattr(mvc_distributed, "elect_leader_bfs", no_election)
-        cover, stats = leader_phase2(g, U, Model(CLIQUE), solve)
-        assert cover == want
+        sol, stats = leader_phase2(g, S, Model(CLIQUE), solve, RoundStats())
+        assert sol.members == want.members
+        cover = sol.members - S
         h_edges = [(a, b) for (a, b) in square(g).edges() if a in U and b in U]
         assert cover <= U and all(a in cover or b in cover for a, b in h_edges)
         assert len(cover) == brute_min_vc(g.n, h_edges)
