@@ -14,8 +14,8 @@ from .errors import ConnectivityError, EncodingError, InputError, RoundCapError
 from .exact import exact_mvc
 from .graph import VC2, Graph, make_solution
 from .protocols import (
-    elect_leader_bfs, exchange, pipelined_broadcast, pipelined_convergecast,
-    scatter,
+    elect_leader_bfs, exchange, pack, pipelined_broadcast,
+    pipelined_convergecast, scatter, unpack,
 )
 from .sim import (
     CLIQUE, CONGEST, Model, NodeProgram, RoundStats, from_words, node_rng, run,
@@ -36,10 +36,11 @@ def effective_epsilon(eps):
 # Phase I, unweighted: centers with more than l uncovered neighbors fire
 # when they hold the maximum id among candidates within two hops.  Each
 # iteration takes 4 sweeps: candidacy, relay of the two-hop candidate
-# maximum, firing, and R-status updates.  A node that is not a candidate
-# never becomes one again, since its uncovered neighbors only leave and it
-# never rejoins C, so it sleeps until mail comes or the schedule ends; a
-# candidate wakes for the candidacy, relay and firing sweeps.
+# maximum to the candidates, which alone read it, firing, and R-status
+# updates.  A node that is not a candidate never becomes one again, since
+# its uncovered neighbors only leave and it never rejoins C, so it sleeps
+# until mail comes or the schedule ends; a candidate wakes for the
+# candidacy, relay and firing sweeps.
 # ---------------------------------------------------------------------------
 
 class _Phase1Program(NodeProgram):
@@ -85,14 +86,12 @@ class _Phase1Program(NodeProgram):
                 self.r_nbrs.discard(s)
             self.is_cand = self.in_C and len(self.r_nbrs) > self.l
             return self._bcast((1,)) if self.is_cand else {}
-        if phase == 1:
+        if phase == 1:  # the senders are the candidate neighbors
             cands = list(inbox)
             if self.is_cand:
                 cands.append(self.ctx.node)
             self.best_seen = max(cands) if cands else None
-            if self.best_seen is not None:
-                return self._bcast((self.best_seen,))
-            return {}
+            return dict.fromkeys(inbox, (self.best_seen,))
         if phase == 2:
             if not self.is_cand:  # best_seen may be from an earlier sweep
                 return {}
@@ -166,10 +165,10 @@ def _f_items(g, U):
 
 
 def _decode_f(gathered, n, weights=None):
-    """H = G^2[U] from gathered F-edge items, U read off their flags."""
+    """H = G^2[U] from the packed F-edge items, U read off their flags."""
     F = set()
     U_seen = set()
-    for (a, b, flag) in set(gathered):
+    for (a, b, flag) in set(unpack(gathered, 3)):
         F.add((a, b))
         if flag & 1:
             U_seen.add(a)
@@ -182,11 +181,12 @@ def leader_phase2(g, S, model, solve, stats):
     """Phase II: cover H = G^2[V - S], where S is the first phase's cover.
 
     A leader gathers F, rebuilds H with g's weights, covers it with
-    solve(H) and sends the cover back.  Under CONGEST the leader is
-    elected, and its BFS tree carries F up and the cover down.  Under
-    CLIQUE node 0 leads without an election, since every node knows the
-    ids: F comes straight to it, and it tells every other node in one
-    round whether it joins the cover.
+    solve(H) and sends the cover back; each node keeps the verdict it
+    hears.  F goes up two items to a message.  Under CONGEST the leader is
+    elected, and its BFS tree carries F up and the sorted cover ids down,
+    `bandwidth_words` to a message.  Under CLIQUE node 0 leads without an
+    election, since every node knows the ids: F comes straight to it, and
+    it tells every other node in one round whether it joins the cover.
 
     Adds Phase II's costs to the first phase's `stats` and returns
     (solution S | cover, stats).
@@ -199,14 +199,17 @@ def leader_phase2(g, S, model, solve, stats):
         leader, parent, _, st = elect_leader_bfs(g, model)
         stats.add(st)
         tree = (leader, parent)
-    gathered, st = pipelined_convergecast(g, tree, _f_items(g, U), model)
+    items = [pack(its, 3, model) for its in _f_items(g, U)]
+    gathered, st = pipelined_convergecast(g, tree, items, model)
     stats.add(st)
     cover = set(solve(_decode_f(gathered, g.n, g.weights)))
-    if clique:
-        _, st = scatter(g, 0, [int(v in cover) for v in range(g.n)], model)
+    if clique:  # node 0 leads and keeps its own verdict
+        heard, st = scatter(g, 0, [int(v in cover) for v in range(g.n)], model)
+        cover = {v for v, word in enumerate(heard) if word} | (cover & {0})
     else:
-        payload = [(v,) for v in sorted(cover)]
-        _, st = pipelined_broadcast(g, tree, payload, model)
+        payload = pack([(v,) for v in sorted(cover)], 1, model)
+        heard, st = pipelined_broadcast(g, tree, payload, model)
+        cover = {v for v in range(g.n) if (v,) in unpack(heard[v], 1)}
     stats.add(st)
     return make_solution(g, VC2, S | cover), stats
 
@@ -229,8 +232,7 @@ def check_input(g, name, weighted=False):
 def g2mvc_trivial(g):
     """All vertices: on a connected graph any vertex cover of G^2 has at
     least n/2 vertices, so the full vertex set is a 2-approximation."""
-    if not g.is_connected():
-        raise ConnectivityError("g2mvc_trivial requires a connected graph")
+    check_input(g, "g2mvc_trivial")
     return make_solution(g, VC2, set(range(g.n)))
 
 

@@ -1,7 +1,9 @@
 """Reusable distributed building blocks: streams of messages to the
 neighbors, leader election / BFS tree, pipelined convergecast toward the
-root and broadcast from it, both by one relay program, and a one-round
-scatter from the root under CLIQUE."""
+root and broadcast from it, both by one relay program, a one-round
+scatter from the root under CLIQUE, and packing items to the bandwidth."""
+
+from itertools import chain
 
 from .errors import ConnectivityError, EncodingError, InputError
 from .sim import CLIQUE, CONGEST, Model, NodeProgram, run
@@ -157,6 +159,21 @@ def pipelined_broadcast(g, tree, payload, model):
 
     outputs, stats = run(g, factory, model)
     return [sorted(o[1:]) for o in outputs], stats
+
+
+def pack(items, width, model):
+    """Concatenate items of `width` words, as many to a message as the
+    model's bandwidth holds; unpack reverses it."""
+    if width > model.bandwidth_words:
+        raise EncodingError(f"item of {width} words exceeds bandwidth")
+    size = model.bandwidth_words // width * width
+    flat = list(chain.from_iterable(items))
+    return [tuple(flat[i:i + size]) for i in range(0, len(flat), size)]
+
+
+def unpack(messages, width):
+    """The items of `width` words that pack put into `messages`."""
+    return list(zip(*[chain.from_iterable(messages)] * width))
 
 
 class _ScatterProgram(NodeProgram):

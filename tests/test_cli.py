@@ -203,6 +203,15 @@ class TestRun:
         assert code == 1
         assert json.loads(out)["error"] == "InputError"
 
+    def test_trivial_cover_rejects_weights(self, tmp_path, capsys):
+        fname = write_text(tmp_path, "star.graph", "p 3 2 weighted\nw 0 100\n"
+                           "w 1 1\nw 2 1\ne 0 1\ne 0 2\n")
+        code, out = run_cli(capsys, "run", "--algo", "g2mvc-trivial",
+                            "--input", fname)
+        assert code == 1
+        assert out.count("\n") == 1
+        assert json.loads(out)["error"] == "InputError"
+
     def test_lone_vertex_weight_is_not_encoded(self, tmp_path, capsys):
         # a 1-vertex graph has 1-bit words, too few for weight 4, but the
         # vertex has no neighbor to send its weight to

@@ -130,6 +130,38 @@ class TestPhase1Unweighted:
         assert steps <= stats.messages + 2 * g.n
         _assert_phase1_invariants(g, l, S, outs)
 
+    def test_relay_reaches_only_candidates(self, monkeypatch):
+        # sweep 4i + 1 relays the two-hop maximum; it must reach exactly
+        # the nodes that announced candidacy in sweep 4i, each from every
+        # neighbor
+        g = Graph(200, sparse_connected(200, 6, random.Random(41)))
+        announced, relayed = set(), {}
+
+        def recording_run(g, factory, *args, **kwargs):
+            def recorded(ctx):
+                prog = factory(ctx)
+                step = prog.step
+
+                def recorded_step(r, inbox):
+                    if r % 4 == 2 and inbox:
+                        relayed[(ctx.node, r // 4)] = set(inbox)
+                    outbox = step(r, inbox)
+                    if r % 4 == 0 and outbox:
+                        announced.add((ctx.node, r // 4))
+                    return outbox
+
+                prog.step = recorded_step
+                return prog
+
+            return run(g, recorded, *args, **kwargs)
+
+        monkeypatch.setattr(mvc_distributed, "run", recording_run)
+        S, _, _ = phase1_unweighted(g, Fraction(1, 2))
+        assert S and announced
+        assert set(relayed) == announced
+        assert all(senders == set(g.adj[v])
+                   for (v, _), senders in relayed.items())
+
     def test_low_degree_graph_fires_nothing(self):
         S, _, _ = phase1_unweighted(cycle(5), Fraction(1, 2))
         assert S == set()
@@ -372,6 +404,7 @@ class TestSeedIgnored:
 
 
 @pytest.mark.parametrize("name,solve,weighted", [
+    ("g2mvc_trivial", g2mvc_trivial, False),
     ("g2mvc_eps", lambda g: g2mvc_eps(g, 1), False),
     ("g2mwvc_eps", lambda g: g2mwvc_eps(g, 1), True),
     ("g2mvc_hybrid", g2mvc_hybrid, False),
@@ -415,9 +448,11 @@ class TestLeaderPhase2:
         assert cover <= U and all(a in cover or b in cover for a, b in h_edges)
         assert len(cover) == brute_min_vc(g.n, h_edges)
         assert [len(its) for its in mvc_distributed._f_items(g, U)] == counts
-        # items stream straight to node 0, then one verdict word per node
-        assert stats.rounds == max(counts) + 1
-        assert stats.messages == sum(counts) + g.n - 1
+        # items stream straight to node 0, two to a message, then one
+        # verdict word per node
+        packed = [(c + 1) // 2 for c in counts]
+        assert stats.rounds == max(packed) + 1
+        assert stats.messages == sum(packed) + g.n - 1
 
 
 class TestCliqueVoting:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,9 +24,11 @@ from powergraph.mvc_distributed import (
 from powergraph.protocols import (
     elect_leader_bfs,
     exchange,
+    pack,
     pipelined_broadcast,
     pipelined_convergecast,
     scatter,
+    unpack,
 )
 from powergraph.sim import (
     CLIQUE,
@@ -39,7 +42,7 @@ from powergraph.sim import (
     word_bits,
 )
 
-from oracles import dense_run
+from oracles import dense_run, sparse_connected
 from test_graph import complete, cycle, path, star
 
 
@@ -458,6 +461,36 @@ class TestScatter:
         outputs, stats = scatter(g, 2, [1, 0, 1, 1, 0], Model(CLIQUE))
         assert outputs == [1, 0, None, 1, 0]
         assert (stats.rounds, stats.messages, stats.max_message_bits) == (1, 4, 3)
+
+
+class TestPack:
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(width=st.integers(1, 8), spare=st.integers(0, 7), data=st.data())
+    def test_round_trip(self, width, spare, data):
+        model = Model(CONGEST, bandwidth_words=min(8, width + spare))
+        words = st.integers(0, 1 << 20)
+        items = data.draw(st.lists(st.tuples(*[words] * width), max_size=30))
+        messages = pack(items, width, model)
+        per = model.bandwidth_words // width
+        assert len(messages) == -(-len(items) // per)
+        assert all(len(m) <= model.bandwidth_words for m in messages)
+        assert unpack(messages, width) == items
+
+    def test_item_wider_than_bandwidth_rejected(self):
+        with pytest.raises(EncodingError):
+            pack([(1, 2, 3)], 3, Model(CONGEST, bandwidth_words=2))
+
+    def test_three_words_carry_one_f_item_and_the_same_cover(self):
+        g = Graph(60, sparse_connected(60, 3, random.Random(5)))
+        narrow = Model(CONGEST, bandwidth_words=3)
+        S, _, _ = phase1_unweighted(g, Fraction(1, 2))
+        items = mvc_distributed._f_items(g, set(range(g.n)) - S)
+        assert any(items)
+        assert [pack(its, 3, narrow) for its in items] == items
+        sol, stats = g2mvc_eps(g, Fraction(1, 2), narrow)
+        sol8, stats8 = g2mvc_eps(g, Fraction(1, 2), Model(CONGEST))
+        assert sol.members == sol8.members != frozenset(S)
+        assert stats.messages > stats8.messages
 
 
 class TestQuiescence:
