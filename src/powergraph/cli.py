@@ -50,21 +50,32 @@ LB_FAMILIES = {
     "mds-sq-approx": ("set", gen_mds_square_approx_unweighted),
 }
 
-# name: (default model, solution kind, needs --eps)
+# name: (default model, solution kind, needs --eps, runner).  A runner
+# takes (g, sq, eps, seed, model), where sq() returns square(g), computed
+# once.  A central runner returns the members and gets model None; the
+# others return (solution, stats).  Runners look package functions up by
+# name when called, so a rebinding of those names reaches them.
 ALGORITHMS = {
-    "g2mvc-eps": (CONGEST, VC2, True),
-    "g2mwvc-eps": (CONGEST, VC2, True),
-    "g2mvc-trivial": (CENTRAL, VC2, False),
-    "g2mvc-cc": (CLIQUE, VC2, True),
-    "g2mvc-53": (CENTRAL, VC2, False),
-    "g2mvc-hybrid": (CONGEST, VC2, False),
-    "g2mds-logd": (CONGEST, DS2, False),
-    "exact-mvc2": (CENTRAL, VC2, False),
-    "exact-mds2": (CENTRAL, DS2, False),
+    "g2mvc-eps": (CONGEST, VC2, True, lambda g, sq, eps, seed, model:
+                  g2mvc_eps(g, eps, model=model, seed=seed)),
+    "g2mwvc-eps": (CONGEST, VC2, True, lambda g, sq, eps, seed, model:
+                   g2mwvc_eps(g, eps, model=model, seed=seed)),
+    "g2mvc-trivial": (CENTRAL, VC2, False, lambda g, sq, eps, seed, model:
+                      g2mvc_trivial(g).members),
+    "g2mvc-cc": (CLIQUE, VC2, True, lambda g, sq, eps, seed, model:
+                 g2mvc_cc_voting(g, eps, seed=seed, model=model)),
+    "g2mvc-53": (CENTRAL, VC2, False, lambda g, sq, eps, seed, model:
+                 vc_53_on_square(sq())[0]),
+    "g2mvc-hybrid": (CONGEST, VC2, False, lambda g, sq, eps, seed, model:
+                     g2mvc_hybrid(g, model=model, seed=seed)),
+    "g2mds-logd": (CONGEST, DS2, False, lambda g, sq, eps, seed, model:
+                   g2mds_logd(g, seed=seed, model=model)),
+    "exact-mvc2": (CENTRAL, VC2, False, lambda g, sq, eps, seed, model:
+                   exact_mvc(sq()).members),
+    "exact-mds2": (CENTRAL, DS2, False, lambda g, sq, eps, seed, model:
+                   exact_mds(sq()).members),
 }
 ALGOS = tuple(ALGORITHMS)
-# the central algorithms that run on G^2 itself
-ON_SQUARE = ("g2mvc-53", "exact-mvc2", "exact-mds2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -176,42 +187,27 @@ def _value_json(value):
 
 
 def _execute(algo, g, sq, eps, seed, model_name):
-    """Run one algorithm; sq is square(g) for the algorithms in ON_SQUARE.
-    Returns (solution, stats)."""
-    default_model, _, needs_eps = ALGORITHMS[algo]
+    """Run one algorithm; sq() returns square(g).  Returns (solution, stats)."""
+    default_model, kind, needs_eps, runner = ALGORITHMS[algo]
     if needs_eps and eps is None:
         raise InputError(f"--eps is required for {algo}")
-    if model_name == CENTRAL:
-        if default_model != CENTRAL:
-            raise InputError(f"{algo} needs a message-passing model")
-        if algo == "g2mvc-trivial":
-            return g2mvc_trivial(g), RoundStats()
-        if algo == "g2mvc-53":
-            cover, _trace = vc_53_on_square(sq)
-            return make_solution(g, VC2, cover), RoundStats()
-        if algo == "exact-mvc2":
-            return make_solution(g, VC2, exact_mvc(sq).members), RoundStats()
-        return make_solution(g, DS2, exact_mds(sq).members), RoundStats()
-    model = Model(model_name)
-    if algo == "g2mvc-eps":
-        return g2mvc_eps(g, eps, model=model, seed=seed)
-    if algo == "g2mwvc-eps":
-        return g2mwvc_eps(g, eps, model=model, seed=seed)
-    if algo == "g2mvc-cc":
-        return g2mvc_cc_voting(g, eps, seed=seed, model=model)
-    if algo == "g2mvc-hybrid":
-        return g2mvc_hybrid(g, model=model, seed=seed)
-    if algo == "g2mds-logd":
-        return g2mds_logd(g, seed=seed, model=model)
-    raise InputError(f"{algo} runs centrally; use --model central")
+    central = default_model == CENTRAL
+    if model_name == CENTRAL and not central:
+        raise InputError(f"{algo} needs a message-passing model")
+    if model_name != CENTRAL and central:
+        raise InputError(f"{algo} runs centrally; use --model central")
+    if central:
+        members = runner(g, sq, eps, seed, None)
+        return make_solution(g, kind, members), RoundStats()
+    return runner(g, sq, eps, seed, Model(model_name))
 
 
 def run_report(algo, g, eps=None, seed=0, model_name=None, with_opt=False,
                timing=False):
-    default_model, kind, _ = ALGORITHMS[algo]
+    default_model, kind, _, _ = ALGORITHMS[algo]
     if model_name is None:
         model_name = default_model
-    sq = square(g) if with_opt or algo in ON_SQUARE else None
+    sq = functools.cache(lambda: square(g))
     start = time.perf_counter()
     sol, stats = _execute(algo, g, sq, eps, seed, model_name)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
@@ -232,7 +228,7 @@ def run_report(algo, g, eps=None, seed=0, model_name=None, with_opt=False,
         if algo in ("exact-mvc2", "exact-mds2"):
             opt = sol.value
         else:
-            opt = (exact_mds(sq) if kind == DS2 else exact_mvc(sq)).value
+            opt = (exact_mds(sq()) if kind == DS2 else exact_mvc(sq())).value
         report["opt"] = _value_json(opt)
         if opt > 0:
             report["ratio"] = float(Fraction(sol.value) / Fraction(opt))

@@ -210,9 +210,11 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
 # ---------------------------------------------------------------------------
 
 class _RelayBestProgram(NodeProgram):
-    """Spread (value tuple, origin id) extrema over a fixed number of hops.
-    Tracks the neighbor that first delivered the final best (the gateway
-    toward the origin).  Only mail and the last sweep, `hops`, wake a node:
+    """Spread the extremal value tuple over a fixed number of hops.  The
+    candidate and rank relays end each tuple with its origin id; the cover
+    flood spreads the constant (1,), which a winner sends in sweep 0 and
+    never relays.  Tracks the neighbor that first delivered the final best
+    (the gateway toward the origin).  Only mail and the last sweep, `hops`, wake a node:
     sweep 0 sends every initial value.  The output is (best, gateway)."""
 
     def __init__(self, ctx, value, hops, prefer_min):
@@ -286,36 +288,11 @@ class _VoteProgram(NodeProgram):
         return {}
 
 
-class _CoverFloodProgram(NodeProgram):
-    """Winners flood a covered flag two hops out; every node wakes for its
-    output in sweep 2."""
-
-    def __init__(self, ctx, is_winner):
-        super().__init__(ctx)
-        self.wake_at = 2
-        self.is_winner = is_winner
-        self.covered = is_winner
-
-    def step(self, r, inbox):
-        if r == 0:
-            if self.is_winner:
-                return dict.fromkeys(self.ctx.neighbors, (1,))
-            return {}
-        if r == 1:
-            if inbox:
-                self.covered = True
-                return dict.fromkeys(self.ctx.neighbors, (1,))
-            return {}
-        if inbox:
-            self.covered = True
-        self.wake_at = None
-        self.output = self.covered
-        return {}
-
-
 def g2mds_logd(g, seed=0, cfg=None, model=None):
     """O(log Delta)-approximate dominating set of G^2; returns
     (Solution, RoundStats)."""
+    if g.weights is not None:  # the O(log Delta) bound is by cardinality
+        raise InputError("g2mds_logd is unweighted")
     if cfg is None:
         cfg = EstimateConfig()
     if model is None:
@@ -387,13 +364,14 @@ def g2mds_logd(g, seed=0, cfg=None, model=None):
             if est[c] > 0 and Fraction(tallies[c]) >= est[c] / 8
         }
 
-        flags, st = run(
-            g, lambda ctx: _CoverFloodProgram(ctx, ctx.node in winners), model
-        )
+        # winners flood a covered flag two hops out
+        out, st = run(g, lambda ctx: _RelayBestProgram(
+            ctx, (1,) if ctx.node in winners else None, hops=2,
+            prefer_min=False), model)
         stats.add(st)
         newly = 0
         for v in range(n):
-            if flags[v] and not covered[v]:
+            if out[v][0] is not None and not covered[v]:
                 covered[v] = True
                 newly += 1
         dominators |= winners

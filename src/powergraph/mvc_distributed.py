@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import ConnectivityError, EncodingError, InputError, RoundCapError
 from .exact import exact_mvc
-from .graph import VC2, Graph, make_solution
+from .graph import VC2, Graph, make_solution, square
 from .protocols import (
     elect_leader_bfs, exchange, pack, pipelined_broadcast,
     pipelined_convergecast, scatter, unpack,
@@ -133,24 +133,13 @@ def build_H_from_F(F, U, n, weights=None):
 
     Returns an n-vertex graph, carrying `weights` when given, whose edges
     are exactly those of G^2 between U vertices; vertices outside U stay
-    isolated.
+    isolated.  Every path of at most two edges between U vertices lies in
+    F, so H is the square of F's graph restricted to U.
     """
     U = set(U)
-    F = {(min(u, v), max(u, v)) for (u, v) in F}
-    adj = {}
-    edges = set()
-    for (u, v) in F:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-        if u in U and v in U:
-            edges.add((u, v))
-    # distance-2 pairs witnessed through any F endpoint
-    for w, nbrs in adj.items():
-        in_u = sorted(x for x in nbrs if x in U)
-        for i in range(len(in_u)):
-            for j in range(i + 1, len(in_u)):
-                edges.add((in_u[i], in_u[j]))
-    return Graph(n, sorted(edges), weights=weights)
+    sq = square(Graph(n, {(min(u, v), max(u, v)) for (u, v) in F}))
+    edges = [(u, v) for u in U for v in sq.adj[u] if u < v and v in U]
+    return Graph(n, edges, weights=weights)
 
 
 def _f_items(g, U):
@@ -240,12 +229,9 @@ def g2mvc_eps(g, eps, model=None, seed=0):
     """(1+eps)-approximate vertex cover of G^2 in O(n/eps) CONGEST rounds.
     Deterministic: `seed` is ignored."""
     check_input(g, "g2mvc_eps")
-    eps = Fraction(eps)
-    if eps <= 0:
-        raise InputError("eps must be positive")
     if model is None:
         model = Model(CONGEST)
-    if eps > 1:
+    if Fraction(eps) > 1:  # eps <= 0 raises in phase1_unweighted
         return g2mvc_trivial(g), RoundStats()
     S, _, stats = phase1_unweighted(g, eps, model)
     return leader_phase2(g, S, model, _solve_exact, stats)

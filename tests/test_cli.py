@@ -196,12 +196,18 @@ class TestRun:
         assert code == 1
         assert json.loads(out)["error"] == "InputError"
 
-    def test_model_mismatch(self, c5_file, capsys):
-        code, out = run_cli(capsys, "run", "--algo", "g2mvc-cc",
-                            "--input", c5_file, "--eps", "1/2",
-                            "--model", "congest")
+    @pytest.mark.parametrize("algo,model,message", [
+        ("g2mvc-cc", "congest", "g2mvc_cc_voting runs in the CLIQUE model"),
+        ("g2mvc-eps", "central", "g2mvc-eps needs a message-passing model"),
+        ("exact-mvc2", "congest", "exact-mvc2 runs centrally"),
+    ], ids=["g2mvc-cc-congest", "g2mvc-eps-central", "exact-mvc2-congest"])
+    def test_model_mismatch(self, c5_file, capsys, algo, model, message):
+        code, out = run_cli(capsys, "run", "--algo", algo, "--input", c5_file,
+                            "--eps", "1/2", "--model", model)
         assert code == 1
-        assert json.loads(out)["error"] == "InputError"
+        record = json.loads(out)
+        assert record["error"] == "InputError"
+        assert message in record["message"]
 
     def test_trivial_cover_rejects_weights(self, tmp_path, capsys):
         fname = write_text(tmp_path, "star.graph", "p 3 2 weighted\nw 0 100\n"
@@ -446,6 +452,8 @@ class TestErrorContract:
         (("gen", "random", "--model", "gnp", "--n", "5", "--p", "3/2"),
          "InputError"),
         (("gen", "random", "--model", "tree", "--n", "3", "--p", "abc"),
+         "InputError"),
+        (("run", "--algo", "g2mds-logd", "--input", "{weighted}"),
          "InputError"),
     ])
     def test_bad_input_is_one_record(self, tmp_path, capsys, argv, error):

@@ -199,6 +199,14 @@ class TestG2MdsLogd:
         sol, _ = g2mds_logd(Graph(1, []), seed=0)
         assert sol.members == {0}
 
+    def test_rejects_weights_not_disconnection(self):
+        weighted = Graph(3, [(0, 1), (0, 2)], weights={0: 100, 1: 1, 2: 1})
+        with pytest.raises(InputError, match="g2mds_logd is unweighted"):
+            g2mds_logd(weighted)
+        split = Graph(4, [(0, 1), (2, 3)])
+        sol, _ = g2mds_logd(split)
+        assert is_feasible(split, DS2, sol.members)
+
     def test_feasible_on_random_graphs(self):
         rng = random.Random(19)
         for trial in range(12):

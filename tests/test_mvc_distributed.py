@@ -41,6 +41,9 @@ class TestEffectiveEpsilon:
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             effective_epsilon(0)
+        for eps in (0, -1):
+            with pytest.raises(InputError, match="eps must be positive"):
+                g2mvc_eps(path(3), eps)
 
 
 class TestBuildHFromF:
@@ -57,12 +60,19 @@ class TestBuildHFromF:
             g = Graph(n, edges)
             u = {v for v in range(n) if rng.random() < 0.6}
             f = [e for e in g.edges() if e[0] in u or e[1] in u]
-            h = build_H_from_F(f, u, n=n)
-            sq = square(g)
             expected = [
-                (a, b) for (a, b) in sq.edges() if a in u and b in u
+                (a, b) for (a, b) in square(g).edges() if a in u and b in u
             ]
-            assert list(h.edges()) == expected
+            assert list(build_H_from_F(f, u, n=n).edges()) == expected
+            # mixed orientation, one edge repeated reversed
+            mixed = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in f]
+            mixed += [(b, a) for a, b in f[:1]]
+            h = build_H_from_F(mixed, u, n=n)
+            assert list(h.edges()) == expected and h.weights is None
+        weights = {v: v + 1 for v in range(n)}
+        h = build_H_from_F(f, u, n=n, weights=weights)
+        assert list(h.edges()) == expected
+        assert h.weights == weights
 
 
 def _assert_phase1_invariants(g, l, S, outs):
