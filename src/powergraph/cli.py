@@ -50,29 +50,29 @@ LB_FAMILIES = {
     "mds-sq-approx": ("set", gen_mds_square_approx_unweighted),
 }
 
-# name: (default model, solution kind, needs --eps, runner).  A runner
-# takes (g, sq, eps, seed, model), where sq() returns square(g), computed
-# once.  A central runner returns the members and gets model None; the
-# others return (solution, stats).  Runners look package functions up by
-# name when called, so a rebinding of those names reaches them.
+# name: (default model, solution kind, needs --eps, returns the optimum,
+# runner).  A runner takes (g, sq, eps, seed, model); sq() returns
+# square(g), computed once.  A central runner gets model None and returns
+# the members, the others (solution, stats).  Runners look package
+# functions up by name when called, so rebinding those names reaches them.
 ALGORITHMS = {
-    "g2mvc-eps": (CONGEST, VC2, True, lambda g, sq, eps, seed, model:
+    "g2mvc-eps": (CONGEST, VC2, True, False, lambda g, sq, eps, seed, model:
                   g2mvc_eps(g, eps, model=model, seed=seed)),
-    "g2mwvc-eps": (CONGEST, VC2, True, lambda g, sq, eps, seed, model:
+    "g2mwvc-eps": (CONGEST, VC2, True, False, lambda g, sq, eps, seed, model:
                    g2mwvc_eps(g, eps, model=model, seed=seed)),
-    "g2mvc-trivial": (CENTRAL, VC2, False, lambda g, sq, eps, seed, model:
+    "g2mvc-trivial": (CENTRAL, VC2, False, False, lambda g, sq, eps, seed, model:
                       g2mvc_trivial(g).members),
-    "g2mvc-cc": (CLIQUE, VC2, True, lambda g, sq, eps, seed, model:
+    "g2mvc-cc": (CLIQUE, VC2, True, False, lambda g, sq, eps, seed, model:
                  g2mvc_cc_voting(g, eps, seed=seed, model=model)),
-    "g2mvc-53": (CENTRAL, VC2, False, lambda g, sq, eps, seed, model:
+    "g2mvc-53": (CENTRAL, VC2, False, False, lambda g, sq, eps, seed, model:
                  vc_53_on_square(sq())[0]),
-    "g2mvc-hybrid": (CONGEST, VC2, False, lambda g, sq, eps, seed, model:
+    "g2mvc-hybrid": (CONGEST, VC2, False, False, lambda g, sq, eps, seed, model:
                      g2mvc_hybrid(g, model=model, seed=seed)),
-    "g2mds-logd": (CONGEST, DS2, False, lambda g, sq, eps, seed, model:
+    "g2mds-logd": (CONGEST, DS2, False, False, lambda g, sq, eps, seed, model:
                    g2mds_logd(g, seed=seed, model=model)),
-    "exact-mvc2": (CENTRAL, VC2, False, lambda g, sq, eps, seed, model:
+    "exact-mvc2": (CENTRAL, VC2, False, True, lambda g, sq, eps, seed, model:
                    exact_mvc(sq()).members),
-    "exact-mds2": (CENTRAL, DS2, False, lambda g, sq, eps, seed, model:
+    "exact-mds2": (CENTRAL, DS2, False, True, lambda g, sq, eps, seed, model:
                    exact_mds(sq()).members),
 }
 ALGOS = tuple(ALGORITHMS)
@@ -188,7 +188,7 @@ def _value_json(value):
 
 def _execute(algo, g, sq, eps, seed, model_name):
     """Run one algorithm; sq() returns square(g).  Returns (solution, stats)."""
-    default_model, kind, needs_eps, runner = ALGORITHMS[algo]
+    default_model, kind, needs_eps, _, runner = ALGORITHMS[algo]
     if needs_eps and eps is None:
         raise InputError(f"--eps is required for {algo}")
     central = default_model == CENTRAL
@@ -204,7 +204,7 @@ def _execute(algo, g, sq, eps, seed, model_name):
 
 def run_report(algo, g, eps=None, seed=0, model_name=None, with_opt=False,
                timing=False):
-    default_model, kind, _, _ = ALGORITHMS[algo]
+    default_model, kind, _, optimal, _ = ALGORITHMS[algo]
     if model_name is None:
         model_name = default_model
     sq = functools.cache(lambda: square(g))
@@ -225,7 +225,7 @@ def run_report(algo, g, eps=None, seed=0, model_name=None, with_opt=False,
         "feasible": is_feasible(g, kind, sol.members),
     }
     if with_opt:
-        if algo in ("exact-mvc2", "exact-mds2"):
+        if optimal:
             opt = sol.value
         else:
             opt = (exact_mds(sq()) if kind == DS2 else exact_mvc(sq())).value

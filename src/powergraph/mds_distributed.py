@@ -158,9 +158,9 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
     info, st = exchange(g, status, model)
     stats.add(st)
 
-    exact = [
+    exact = [  # from the neighbors' degrees as heard
         g.degree(v) < threshold
-        and all(g.degree(u) < threshold for u in g.adj[v])
+        and all(deg < threshold for _, deg in info[v].values())
         for v in range(n)
     ]
 
@@ -298,8 +298,6 @@ def g2mds_logd(g, seed=0, cfg=None, model=None):
     if model is None:
         model = Model(CONGEST)
     n = g.n
-    if n == 0:
-        return make_solution(g, DS2, set()), RoundStats()
     max_phases = 16 * (math.ceil(math.log2(n + 1)) + 1)
     stall_cap = 8 * (math.ceil(math.log2(n + 1)) + 2)
     stats = RoundStats()

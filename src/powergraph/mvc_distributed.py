@@ -48,7 +48,6 @@ class _Phase1Program(NodeProgram):
         super().__init__(ctx)
         self.l, self.i_max = l, i_max
         self.in_S = False
-        self.in_R = True
         self.in_C = True
         self.r_nbrs = set(ctx.neighbors)
         self.is_cand = False
@@ -62,8 +61,6 @@ class _Phase1Program(NodeProgram):
     def step(self, r, inbox):
         phase, it = r % 4, r // 4
         if it >= self.i_max:
-            for s in inbox:  # absorb trailing R-status updates
-                self.r_nbrs.discard(s)
             self.wake_at = None
             self.output = {
                 "in_S": self.in_S,
@@ -104,10 +101,9 @@ class _Phase1Program(NodeProgram):
                 return self._bcast((1,))
             return {}
         # phase 3: join S next to a fired center
-        if inbox and self.in_R:
+        if inbox and not self.in_S:
             # fired centers are three apart, so at most one neighbors us
             self.in_S = True
-            self.in_R = False
             self.joined_center = next(iter(inbox))
             return self._bcast((1,))
         return {}
@@ -118,6 +114,8 @@ def phase1_unweighted(g, eps, model=None):
     l, _ = effective_epsilon(eps)
     if model is None:
         model = Model(CONGEST)
+    # each iteration with a candidate moves more than l vertices into S,
+    # so the last one has none and sends nothing
     i_max = g.n // (l + 1) + 1
     outputs, stats = run(g, lambda ctx: _Phase1Program(ctx, l, i_max), model)
     S = {v for v in range(g.n) if outputs[v]["in_S"]}
@@ -257,53 +255,52 @@ def weight_class_index(w, w_star):
     return max(0, (w // w_star).bit_length() - 1)
 
 
+class _WeightedNode:
+    """One node's weighted Phase I state, kept across the scans: its
+    weight, its neighbors' weights as heard, its cover flag, the neighbors
+    it believes uncovered, and whether the current scan selected it."""
+
+    __slots__ = ("w", "nbr_w", "in_S", "r_view", "selected")
+
+    def __init__(self, w, nbr_w):
+        self.w = w
+        self.nbr_w = nbr_w
+        self.in_S = w == 0  # zero-weight vertices join S at once
+        self.r_view = {u for u, wu in nbr_w.items() if wu > 0}
+        self.selected = False
+
+
 class _WeightedPassProgram(NodeProgram):
     """One sequential scan over centers: slot c spans two sweeps.  The
     center announces w_star and a bitmask of selectable classes; selected
     neighbors join S and report leaving R.  A node wakes at its own slot,
-    sweep 2v, and at the end, sweep 2n; mail wakes it otherwise."""
+    sweep 2v, and at the end, sweep 2n; mail wakes it otherwise.  The
+    output is the node's record, which the scan updates in place."""
 
-    def __init__(self, ctx, eps, w, nbr_w, in_S, in_R, r_view):
+    def __init__(self, ctx, eps, node):
         super().__init__(ctx)
         self.eps = eps
-        self.w = w
-        self.nbr_w = nbr_w
-        self.in_S = in_S
-        self.in_R = in_R
-        self.r_view = set(r_view)
-        self.selected_any = False
-
-    def _bcast(self, msg):
-        return dict.fromkeys(self.ctx.neighbors, msg)
+        self.output = node
+        node.selected = False
 
     def step(self, r, inbox):
         own, end = 2 * self.ctx.node, 2 * self.ctx.n
-        if r >= end:
-            self.wake_at = None
-        else:
-            self.wake_at = own if r < own else end
+        self.wake_at = (own if r < own else end) if r < end else None
+        node = self.output
         bits = self.ctx.word_bits
+        c = r // 2
         if r % 2 == 0:
             for s in inbox:
-                self.r_view.discard(s)
-            if r == end:
-                self.output = {
-                    "in_S": self.in_S,
-                    "in_R": self.in_R,
-                    "r_view": frozenset(self.r_view),
-                    "selected_any": self.selected_any,
-                }
-                return {}
-            c = r // 2
+                node.r_view.discard(s)
             if c != self.ctx.node:
                 return {}
-            pos = [w for w in self.nbr_w.values() if w > 0]
+            pos = [w for w in node.nbr_w.values() if w > 0]
             if not pos:
                 return {}
             w_star = min(pos)
             classes = {}
-            for u in self.r_view:
-                wu = self.nbr_w[u]
+            for u in node.r_view:
+                wu = node.nbr_w[u]
                 classes.setdefault(weight_class_index(wu, w_star), []).append(wu)
             mask = 0
             for i, ws in classes.items():
@@ -315,18 +312,15 @@ class _WeightedPassProgram(NodeProgram):
             msg = _encode_weight(w_star, bits) + mask_words
             if len(msg) > self.ctx.model.bandwidth_words:
                 raise EncodingError(f"class mask for center {c} exceeds bandwidth")
-            return self._bcast(msg)
+            return dict.fromkeys(self.ctx.neighbors, msg)
         # odd sweep: selected neighbors of center c join the cover
-        c = r // 2
-        if c in inbox and self.in_R:
+        if c in inbox and not node.in_S:
             msg = inbox[c]
             w_star = _decode_weight(msg, bits)
             mask = from_words(msg[4:], bits)
-            if mask & (1 << weight_class_index(self.w, w_star)):
-                self.in_S = True
-                self.in_R = False
-                self.selected_any = True
-                return self._bcast((1,))
+            if mask & (1 << weight_class_index(node.w, w_star)):
+                node.in_S = node.selected = True
+                return dict.fromkeys(self.ctx.neighbors, (1,))
         return {}
 
 
@@ -344,36 +338,20 @@ def weighted_phase1(g, eps, model=None):
     msgs = [_encode_weight(g.weight(v), bits) if g.adj[v] else None
             for v in range(g.n)]
     heard, stats = exchange(g, msgs, model)
-    states = []
-    for v in range(g.n):
-        zero = g.weight(v) == 0
-        states.append(
-            {
-                "w": g.weight(v),
-                "nbr_w": {u: _decode_weight(m, bits) for u, m in heard[v].items()},
-                "in_S": zero,
-                "in_R": not zero,
-                "r_view": {u for u in g.adj[v] if g.weight(u) > 0},
-            }
-        )
-
-    # each productive pass moves at least one vertex into S
-    for _pass in range(g.n + 1):
+    nodes = [
+        _WeightedNode(g.weight(v),
+                      {u: _decode_weight(m, bits) for u, m in heard[v].items()})
+        for v in range(g.n)
+    ]
+    # scan until one selects nobody: a scan that selects puts a vertex into
+    # S, which it never leaves, so at most n + 1 scans run
+    while True:
         outputs, st = run(
-            g, lambda ctx: _WeightedPassProgram(ctx, eps, **states[ctx.node]), model
+            g, lambda ctx: _WeightedPassProgram(ctx, eps, nodes[ctx.node]), model
         )
         stats.add(st)
-        for v, o in enumerate(outputs):
-            states[v].update(
-                in_S=o["in_S"], in_R=o["in_R"], r_view=set(o["r_view"])
-            )
-        if not any(o["selected_any"] for o in outputs):
-            break
-    else:
-        raise RoundCapError("weighted Phase I did not stabilize")
-
-    S = {v for v in range(g.n) if states[v]["in_S"]}
-    return S, stats
+        if not any(o.selected for o in outputs):
+            return {v for v, o in enumerate(outputs) if o.in_S}, stats
 
 
 def g2mwvc_eps(g, eps, model=None, seed=0):

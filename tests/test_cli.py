@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from powergraph import cli
 from powergraph.cli import ALGOS, main
 from powergraph.errors import ParseError
 from powergraph.graph import Graph
@@ -176,6 +177,21 @@ class TestRun:
             code, out = run_cli(capsys, *argv)
             assert code == 0, out
             jsonschema.validate(json.loads(out), schema)
+
+    @pytest.mark.parametrize("algo,solver", [
+        ("exact-mvc2", "exact_mvc"), ("exact-mds2", "exact_mds"),
+    ])
+    def test_exact_rows_solve_once_under_with_opt(self, c5_file, capsys,
+                                                  monkeypatch, algo, solver):
+        # a row that returns the optimum reports its own value as opt
+        calls = []
+        solve = getattr(cli, solver)
+        monkeypatch.setattr(cli, solver, lambda h: calls.append(h) or solve(h))
+        code, out = run_cli(capsys, "run", "--algo", algo, "--input", c5_file,
+                            "--with-opt")
+        report = json.loads(out)
+        assert code == 0 and len(calls) == 1
+        assert report["opt"] == report["value"] and report["ratio"] == 1.0
 
     def test_byte_identical_repeat(self, c5_file, capsys):
         argv = ("run", "--algo", "g2mds-logd", "--input", c5_file,

@@ -199,6 +199,12 @@ class TestG2MdsLogd:
         sol, _ = g2mds_logd(Graph(1, []), seed=0)
         assert sol.members == {0}
 
+    def test_empty_graph(self):
+        for variant in (CONGEST, CLIQUE):
+            sol, stats = g2mds_logd(Graph(0, []), model=Model(variant))
+            assert sol.members == set() and sol.value == 0
+            assert (stats.rounds, stats.messages) == (0, 0)
+
     def test_rejects_weights_not_disconnection(self):
         weighted = Graph(3, [(0, 1), (0, 2)], weights={0: 100, 1: 1, 2: 1})
         with pytest.raises(InputError, match="g2mds_logd is unweighted"):

@@ -26,6 +26,7 @@ from oracles import (
     weight_classes,
 )
 from test_graph import complete, cycle, path, star
+from test_weighted_pins import TWO_SCANS
 
 
 def square_opt(g):
@@ -299,20 +300,7 @@ class TestWeightedPhase1:
         # center 0's class {2,3,4,5} (weights 7/2, 2, 2, 2) fails the test,
         # but becomes selectable once center 1 pulls vertex 2 away -- so a
         # single scan over centers in id order is not enough
-        g = Graph(
-            8,
-            [(0, 2), (0, 3), (0, 4), (0, 5), (1, 2), (1, 6), (1, 7)],
-            weights={
-                0: 2,
-                1: 2,
-                2: Fraction(7, 2),
-                3: 2,
-                4: 2,
-                5: 2,
-                6: Fraction(7, 2),
-                7: Fraction(7, 2),
-            },
-        )
+        g = TWO_SCANS
         eps = Fraction(1, 2)
         S, _ = weighted_phase1(g, eps)
         assert {3, 4, 5} <= S  # only reachable on the second scan
@@ -321,6 +309,31 @@ class TestWeightedPhase1:
             _, classes = weight_classes(g, c, restrict=U)
             for members in classes.values():
                 assert not class_selectable(g, members, eps)
+
+    def test_every_scan_gets_new_programs(self, monkeypatch):
+        # each scan steps programs of its own, over one record per node
+        # that lasts across the scans
+        scans = []
+
+        def recording_run(g, factory, *args, **kwargs):
+            programs = []
+
+            def recorded(ctx):
+                programs.append(factory(ctx))
+                return programs[-1]
+
+            scans.append(programs)
+            return run(g, recorded, *args, **kwargs)
+
+        monkeypatch.setattr(mvc_distributed, "run", recording_run)
+        S, _ = weighted_phase1(TWO_SCANS, Fraction(1, 2))
+        assert len(scans) == 3  # two scans select, the third selects nobody
+        programs = [p for ps in scans for p in ps]
+        assert len({id(p) for p in programs}) == len(programs) == 3 * 8
+        records = [p.output for p in scans[0]]
+        for ps in scans:
+            assert all(p.output is rec for p, rec in zip(ps, records))
+        assert S == {v for v, rec in enumerate(records) if rec.in_S}
 
     def test_zero_weight_vertices_join_immediately(self):
         g = Graph(4, [(0, 1), (1, 2), (2, 3)], weights={0: 0, 1: 5, 2: 0, 3: 5})
