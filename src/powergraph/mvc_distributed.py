@@ -260,8 +260,6 @@ class _WeightedNode:
     weight, its neighbors' weights as heard, its cover flag, the neighbors
     it believes uncovered, and whether the current scan selected it."""
 
-    __slots__ = ("w", "nbr_w", "in_S", "r_view", "selected")
-
     def __init__(self, w, nbr_w):
         self.w = w
         self.nbr_w = nbr_w
@@ -285,7 +283,10 @@ class _WeightedPassProgram(NodeProgram):
 
     def step(self, r, inbox):
         own, end = 2 * self.ctx.node, 2 * self.ctx.n
-        self.wake_at = (own if r < own else end) if r < end else None
+        if r >= end:
+            self.wake_at = None
+        else:
+            self.wake_at = own if r < own else end
         node = self.output
         bits = self.ctx.word_bits
         c = r // 2
