@@ -35,12 +35,16 @@ def effective_epsilon(eps):
 # ---------------------------------------------------------------------------
 # Phase I, unweighted: centers with more than l uncovered neighbors fire
 # when they hold the maximum id among candidates within two hops.  Each
-# iteration takes 4 sweeps: candidacy, relay of the two-hop candidate
-# maximum to the candidates, which alone read it, firing, and R-status
-# updates.  A node that is not a candidate never becomes one again, since
-# its uncovered neighbors only leave and it never rejoins C, so it sleeps
-# until mail comes or the schedule ends; a candidate wakes for the
-# candidacy, relay and firing sweeps.
+# iteration takes 4 sweeps: candidacy, relay, firing and R-status updates,
+# and a node sends only what changed.  A candidate announces itself in
+# sweep 0 and leaves C once, by a notice in the candidacy sweep where at
+# most l of its neighbors are uncovered, or by firing; none joins later.
+# Each node keeps its candidate neighbors, and when the maximum of those
+# and itself, if a candidate, changes to a neighbor, it names that
+# neighbor, the one reader: a candidate fires when it is its own maximum
+# and every neighbor has named it, and a name holds while its candidate
+# stays, since maxima only fall.  Nodes sleep unless mail comes, a relay
+# or a fire is due, or the schedule ends.
 # ---------------------------------------------------------------------------
 
 class _Phase1Program(NodeProgram):
@@ -48,18 +52,24 @@ class _Phase1Program(NodeProgram):
         super().__init__(ctx)
         self.l, self.i_max = l, i_max
         self.in_S = False
-        self.in_C = True
         self.r_nbrs = set(ctx.neighbors)
         self.is_cand = False
-        self.best_seen = None
+        self.cands = []  # candidate neighbors, ascending
+        self.sent = -1  # the last maximum relayed, or -1
+        self.above = len(ctx.neighbors)  # neighbors yet to name us
         self.fired = False
         self.joined_center = None
 
     def _bcast(self, msg):
         return dict.fromkeys(self.ctx.neighbors, msg)
 
+    def _top(self):
+        top = self.cands[-1] if self.cands else -1
+        return max(top, self.ctx.node) if self.is_cand else top
+
     def step(self, r, inbox):
         phase, it = r % 4, r // 4
+        end = 4 * self.i_max
         if it >= self.i_max:
             self.wake_at = None
             self.output = {
@@ -68,45 +78,58 @@ class _Phase1Program(NodeProgram):
                 "joined_center": self.joined_center,
                 "u_nbrs": frozenset(self.r_nbrs),
             }
+            self.r_nbrs = self.cands = None
             return {}
-        outbox = self._step(phase, inbox)
-        end = 4 * self.i_max
-        if self.is_cand:
-            self.wake_at = min(r + 2 if phase == 2 else r + 1, end)
+        outbox = self._step(r, phase, inbox)
+        node, top = self.ctx.node, self._top()
+        if top in (-1, node):
+            self.sent = top  # no neighbor to name
+        if top != self.sent:  # relay it in the next relay sweep
+            self.wake_at = min(4 * it + (1 if phase == 0 else 5), end)
+        elif self.is_cand and top == node and self.above == 0:
+            self.wake_at = min(4 * it + (2 if phase < 2 else 6), end)  # fire
         else:
             self.wake_at = end
         return outbox
 
-    def _step(self, phase, inbox):
+    def _step(self, r, phase, inbox):
+        node = self.ctx.node
         if phase == 0:
             for s in inbox:
                 self.r_nbrs.discard(s)
-            self.is_cand = self.in_C and len(self.r_nbrs) > self.l
-            return self._bcast((1,)) if self.is_cand else {}
-        if phase == 1:  # the senders are the candidate neighbors
-            cands = list(inbox)
-            if self.is_cand:
-                cands.append(self.ctx.node)
-            self.best_seen = max(cands) if cands else None
-            return dict.fromkeys(inbox, (self.best_seen,))
-        if phase == 2:
-            if not self.is_cand:  # best_seen may be from an earlier sweep
+            cand = len(self.r_nbrs) > self.l and (r == 0 or self.is_cand)
+            if cand == self.is_cand:
                 return {}
-            vals = [msg[0] for msg in inbox.values()]
-            vals.append(self.best_seen)
-            if max(vals) == self.ctx.node:
+            self.is_cand = cand  # announce, or leave C
+            return self._bcast((int(cand),))
+        if phase == 1:  # candidacies in sweep 1, leave notices after
+            for s, (announce,) in inbox.items():
+                if announce:
+                    self.cands.append(s)
+                else:
+                    self.cands.remove(s)
+            top = self._top()
+            if top in (-1, node, self.sent):
+                return {}
+            self.sent = top
+            return {top: (top,)}
+        if phase == 2:
+            self.above -= len(inbox)
+            if self.is_cand and self.above == 0 and self._top() == node:
                 self.fired = True
-                self.in_C = False
                 self.is_cand = False
                 return self._bcast((1,))
             return {}
-        # phase 3: join S next to a fired center
-        if inbox and not self.in_S:
-            # fired centers are three apart, so at most one neighbors us
-            self.in_S = True
-            self.joined_center = next(iter(inbox))
-            return self._bcast((1,))
-        return {}
+        # phase 3: fired centers leave C; join S next to one
+        if not inbox:
+            return {}
+        center = next(iter(inbox))  # centers are three apart: one neighbors us
+        self.cands.remove(center)
+        if self.in_S:
+            return {}
+        self.in_S = True
+        self.joined_center = center
+        return self._bcast((1,))
 
 
 def phase1_unweighted(g, eps, model=None):

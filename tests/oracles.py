@@ -96,9 +96,13 @@ def random_connected_gnp(n, p, seed):
 
 def sparse_connected(n, avg_degree, rng):
     """A random recursive tree plus uniform random edges, up to
-    n * avg_degree / 2 edges in total; connected by construction."""
+    n * avg_degree / 2 edges in total; connected by construction.  Raises
+    ValueError when a simple graph on n vertices has fewer edges."""
+    target = round(n * avg_degree / 2)
+    if target > n * (n - 1) // 2:
+        raise ValueError(f"{target} edges do not fit a simple graph on {n} vertices")
     edges = {(rng.randrange(i), i) for i in range(1, n)}
-    while len(edges) < round(n * avg_degree / 2):
+    while len(edges) < target:
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.add((min(u, v), max(u, v)))

@@ -18,7 +18,7 @@ from powergraph.graph import (
     square,
 )
 
-from oracles import bfs_dist_le2_edges, random_connected_gnp
+from oracles import bfs_dist_le2_edges, random_connected_gnp, sparse_connected
 
 
 def path(n):
@@ -198,3 +198,16 @@ class TestMatching2Approx:
     def test_deterministic(self):
         g = Graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (4, 5)])
         assert matching_2approx(g).members == matching_2approx(g).members
+
+
+class TestSparseConnectedOracle:
+    def test_rejects_more_edges_than_a_simple_graph_has(self):
+        # 8 vertices hold at most 28 edges; average degree 12 asks for 48
+        with pytest.raises(ValueError, match="48 edges"):
+            sparse_connected(8, 12, random.Random(0))
+        with pytest.raises(ValueError):
+            sparse_connected(8, 7.5, random.Random(0))
+
+    def test_complete_graph_at_the_limit(self):
+        edges = sparse_connected(8, 7, random.Random(0))
+        assert edges == [(u, v) for u in range(8) for v in range(u + 1, 8)]

@@ -1,5 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -92,6 +94,32 @@ def _assert_phase1_invariants(g, l, S, outs):
         assert len(members) >= l + 1
 
 
+def _record_phase1_sends(monkeypatch):
+    """Wrap every Phase I node: count its steps and keep each nonempty
+    outbox under (node, sweep)."""
+    rec = SimpleNamespace(steps=0, outboxes={})
+
+    def recording_run(g, factory, *args, **kwargs):
+        def recorded(ctx):
+            prog = factory(ctx)
+            step = prog.step
+
+            def recorded_step(r, inbox):
+                rec.steps += 1
+                outbox = step(r, inbox)
+                if outbox:
+                    rec.outboxes[(ctx.node, r)] = dict(outbox)
+                return outbox
+
+            prog.step = recorded_step
+            return prog
+
+        return run(g, recorded, *args, **kwargs)
+
+    monkeypatch.setattr(mvc_distributed, "run", recording_run)
+    return rec
+
+
 class TestPhase1Unweighted:
     def test_few_uncovered_neighbors_afterwards(self):
         rng = random.Random(8)
@@ -118,60 +146,57 @@ class TestPhase1Unweighted:
         g = Graph(3000, sparse_connected(3000, 3, random.Random(3000)))
         l, _ = effective_epsilon(Fraction(1, 2))
         i_max = g.n // (l + 1) + 1
-        steps = 0
-
-        def counting_run(g, factory, *args, **kwargs):
-            def counted(ctx):
-                prog = factory(ctx)
-                step = prog.step
-
-                def counted_step(r, inbox):
-                    nonlocal steps
-                    steps += 1
-                    return step(r, inbox)
-
-                prog.step = counted_step
-                return prog
-
-            return run(g, counted, *args, **kwargs)
-
-        monkeypatch.setattr(mvc_distributed, "run", counting_run)
+        sends = _record_phase1_sends(monkeypatch)
         S, outs, stats = phase1_unweighted(g, Fraction(1, 2))
         assert stats.rounds == 4 * i_max + 1
-        assert steps <= stats.messages + 2 * g.n
+        assert sends.steps <= stats.messages + 2 * g.n
         _assert_phase1_invariants(g, l, S, outs)
+        # a candidacy once and at most one leave notice per node
+        candidacies = Counter(v for (v, r) in sends.outboxes if r % 4 == 0)
+        assert candidacies and max(candidacies.values()) <= 2
 
     def test_relay_reaches_only_candidates(self, monkeypatch):
-        # sweep 4i + 1 relays the two-hop maximum; it must reach exactly
-        # the nodes that announced candidacy in sweep 4i, each from every
-        # neighbor
+        # Candidates announce in sweep 0 and leave by a notice (0,) in a
+        # candidacy sweep or by firing in sweep 4i + 2.  Sweep 4i + 1
+        # relays a node's maximum over its candidate neighbors and itself,
+        # if a candidate: only when it changed since the node's last relay,
+        # and only to that maximum, when it is a candidate neighbor.  The
+        # centers that fire are the candidates that are their two-hop
+        # maximum.
         g = Graph(200, sparse_connected(200, 6, random.Random(41)))
-        announced, relayed = set(), {}
-
-        def recording_run(g, factory, *args, **kwargs):
-            def recorded(ctx):
-                prog = factory(ctx)
-                step = prog.step
-
-                def recorded_step(r, inbox):
-                    if r % 4 == 2 and inbox:
-                        relayed[(ctx.node, r // 4)] = set(inbox)
-                    outbox = step(r, inbox)
-                    if r % 4 == 0 and outbox:
-                        announced.add((ctx.node, r // 4))
-                    return outbox
-
-                prog.step = recorded_step
-                return prog
-
-            return run(g, recorded, *args, **kwargs)
-
-        monkeypatch.setattr(mvc_distributed, "run", recording_run)
-        S, _, _ = phase1_unweighted(g, Fraction(1, 2))
-        assert S and announced
-        assert set(relayed) == announced
-        assert all(senders == set(g.adj[v])
-                   for (v, _), senders in relayed.items())
+        sends = _record_phase1_sends(monkeypatch)
+        S, outs, _ = phase1_unweighted(g, Fraction(1, 2))
+        assert S
+        out = sends.outboxes
+        cands = {v for (v, r) in out if r == 0}
+        assert cands and all(out[(v, 0)] == dict.fromkeys(g.adj[v], (1,))
+                             for v in cands)
+        candidacies = Counter(v for (v, r) in out if r % 4 == 0)
+        assert max(candidacies.values()) <= 2
+        two_hops = [{v}.union(g.adj[v], *(g.adj[u] for u in g.adj[v]))
+                    for v in range(g.n)]
+        last = [None] * g.n
+        relays = fires = 0
+        for i in range(max(r for (_, r) in out) // 4 + 1):
+            left = {v for (v, r) in out if r == 4 * i and i > 0}
+            assert left <= cands and all(
+                out[(v, 4 * i)] == dict.fromkeys(g.adj[v], (0,)) for v in left)
+            cands -= left
+            for v in range(g.n):
+                top = max(cands & {v, *g.adj[v]}, default=None)
+                relay = out.get((v, 4 * i + 1))
+                if top != last[v] and top not in (None, v):
+                    assert relay == {top: (top,)}
+                    relays += 1
+                else:
+                    assert relay is None
+                last[v] = top
+            fired = {v for (v, r) in out if r == 4 * i + 2}
+            assert fired == {v for v in cands if max(two_hops[v] & cands) == v}
+            assert all(outs[v]["fired"] for v in fired)
+            fires += len(fired)
+            cands -= fired
+        assert relays and fires and not cands
 
     def test_low_degree_graph_fires_nothing(self):
         S, _, _ = phase1_unweighted(cycle(5), Fraction(1, 2))
