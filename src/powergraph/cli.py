@@ -172,8 +172,6 @@ def _cmd_gen_lb(args):
         x = _parse_hex_bits(args.x, bits, "--x")
         y = _parse_hex_bits(args.y, bits, "--y")
         inst = gen(args.T, args.universe, args.r, x, y, seed=args.seed)
-    if not args.output:
-        raise InputError("gen lb requires --output")
     write_graph(inst.graph, args.output)
     write_sidecar(inst.sidecar(), args.output + ".json")
     return 0
@@ -345,7 +343,7 @@ def build_parser():
     g_lb.add_argument("--x", required=True)
     g_lb.add_argument("--y", required=True)
     g_lb.add_argument("--seed", type=int, default=0)
-    g_lb.add_argument("--output", default=None)
+    g_lb.add_argument("--output", required=True)
 
     run = sub.add_parser("run")
     run.add_argument("--algo", choices=ALGOS, required=True)

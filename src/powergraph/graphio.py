@@ -89,6 +89,9 @@ def read_graph(path):
             if v in weights:
                 raise ParseError(f"duplicate weight for vertex {v}",
                                  line=lineno)
+            if w < 0:
+                raise ParseError(f"negative weight at vertex {v}",
+                                 line=lineno)
             weights[v] = w
         else:
             raise ParseError(f"unknown line kind {kind!r}", line=lineno)

@@ -43,8 +43,9 @@ def effective_epsilon(eps):
 # and itself, if a candidate, changes to a neighbor, it names that
 # neighbor, the one reader: a candidate fires when it is its own maximum
 # and every neighbor has named it, and a name holds while its candidate
-# stays, since maxima only fall.  Nodes sleep unless mail comes, a relay
-# or a fire is due, or the schedule ends.
+# stays, since maxima only fall.  A candidate fires in the sweep where
+# its last name arrives, so no fire needs a wake: nodes sleep unless mail
+# comes, a relay is due, or the schedule ends.
 # ---------------------------------------------------------------------------
 
 class _Phase1Program(NodeProgram):
@@ -86,8 +87,6 @@ class _Phase1Program(NodeProgram):
             self.sent = top  # no neighbor to name
         if top != self.sent:  # relay it in the next relay sweep
             self.wake_at = min(4 * it + (1 if phase == 0 else 5), end)
-        elif self.is_cand and top == node and self.above == 0:
-            self.wake_at = min(4 * it + (2 if phase < 2 else 6), end)  # fire
         else:
             self.wake_at = end
         return outbox

@@ -196,8 +196,8 @@ def run(g, factory, model):
     nbr_sets = [set(a) for a in g.adj] if congest else None
 
     stats = RoundStats()
-    timers = []  # heap of (sweep, node) for wakes beyond the next sweep
-    in_heap = [None] * n  # a sweep for which node v has a heap entry
+    wakes = defaultdict(list)  # sweep -> nodes whose wake_at named it, stale too
+    sweeps = []  # heap of the keys of wakes
     inboxes = {}
     order = range(n)  # sweep 0 steps every node
     timer_due = False
@@ -206,7 +206,6 @@ def run(g, factory, model):
         if sweep >= round_cap:
             raise RoundCapError(f"no termination within {round_cap} rounds")
         mail = defaultdict(dict)
-        due = []  # nodes due in the next sweep
         messages = 0
         longest = 0
         for v in order:
@@ -220,42 +219,30 @@ def run(g, factory, model):
                 messages += len(outbox)
             t = p.wake_at
             if t is not None:
-                if t == sweep + 1:
-                    due.append(v)
-                elif t <= sweep:
+                if t <= sweep:
                     raise InputError(
                         f"node {v} set wake_at {t} in sweep {sweep}; it must be later"
                     )
-                elif in_heap[v] != t:
-                    heapq.heappush(timers, (t, v))
-                    in_heap[v] = t
+                if t not in wakes:
+                    heapq.heappush(sweeps, t)
+                wakes[t].append(v)
         if messages or timer_due:
             stats.rounds = sweep + 1
         if messages:
             stats.messages += messages
             stats.max_message_bits = max(stats.max_message_bits, longest * bits)
 
-        # the next sweep: the following one while mail is in flight or a
-        # node is due in it, else the first sweep with a live timer
+        # the next sweep: the following one while mail is in flight, else
+        # the first sweep that some node's wake_at still names
         nxt = sweep + 1
-        all_due = len(due) == n
-        while True:
-            while timers and timers[0][0] == nxt:
-                t, v = heapq.heappop(timers)
-                if in_heap[v] == t:  # else a stale or duplicate entry
-                    in_heap[v] = None
-                    if programs[v].wake_at == t:
-                        due.append(v)
-            if due or mail or not timers:
-                break
-            nxt = timers[0][0]
+        due = []
+        while sweeps and not due and (sweeps[0] == nxt or not mail):
+            nxt = heapq.heappop(sweeps)
+            due = [v for v in wakes.pop(nxt) if programs[v].wake_at == nxt]
         if not (due or mail):
             break
         sweep = nxt
         timer_due = bool(due)
         inboxes = mail
-        if all_due:
-            order = range(n)
-        else:
-            order = sorted(set(due).union(mail))
+        order = sorted(set(due).union(mail))
     return [p.output for p in programs], stats

@@ -75,6 +75,7 @@ class TestGraphFormat:
         ("p 2 2\ne 0 1\ne 1 0\n", 3),       # duplicate edge
         ("p 2 1\nw 0 3\ne 0 1\n", 2),       # weight in unweighted graph
         ("p 2 1 weighted\nw 0 x\n", 2),     # malformed weight
+        ("p 2 1 weighted\nw 0 -1\n", 2),    # negative weight
         ("p two 1\n", 1),                   # non-integer header
     ])
     def test_parse_errors_carry_line_numbers(self, tmp_path, text, lineno):
@@ -367,7 +368,16 @@ class TestGenLb:
         code, out = run_cli(capsys, "gen", "lb", "--family", "mvc-base",
                             "--k", "2", "--x", "0", "--y", "0")
         assert code == 1
-        assert json.loads(out)["error"] == "InputError"
+        record = json.loads(out)
+        assert record["error"] == "InputError"
+        assert "--output" in record["message"]
+
+    @pytest.mark.parametrize("k_args", [(), ("--k", "-1")])
+    def test_missing_output_named_before_bad_k(self, capsys, k_args):
+        code, out = run_cli(capsys, "gen", "lb", "--family", "mvc-base",
+                            *k_args, "--x", "0", "--y", "0")
+        assert code == 1
+        assert "--output" in json.loads(out)["message"]
 
     def test_hex_out_of_range(self, tmp_path, capsys):
         code, out = run_cli(capsys, "gen", "lb", "--family", "mvc-base",

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from powergraph.errors import InputError
+from powergraph import mds_distributed
+from powergraph.errors import InputError, RoundCapError
 from powergraph.exact import exact_mds
 from powergraph.graph import DS2, Graph, is_feasible, square
 from powergraph.mds_distributed import (
@@ -13,7 +14,7 @@ from powergraph.mds_distributed import (
     estimate_2hop_counts,
     g2mds_logd,
 )
-from powergraph.sim import CLIQUE, CONGEST, Model
+from powergraph.sim import CLIQUE, CONGEST, Model, NodeProgram
 
 from oracles import (
     brute_min_ds, random_connected_gnp, sampled_2hop_estimates, sparse_connected,
@@ -232,6 +233,21 @@ class TestG2MdsLogd:
             for seed in (0, 1, 2):
                 sol, _ = g2mds_logd(g, seed=seed)
                 assert sol.value <= bound * opt
+
+    def test_no_progress_raises_round_cap(self, monkeypatch):
+        class NoTally(NodeProgram):
+            """Every candidate's tally comes out 0, so nobody wins."""
+
+            def __init__(self, ctx, vote):
+                super().__init__(ctx)
+                self.output = 0
+
+            def step(self, r, inbox):
+                return {}
+
+        monkeypatch.setattr(mds_distributed, "_VoteProgram", NoTally)
+        with pytest.raises(RoundCapError, match="no progress"):
+            g2mds_logd(star(9), seed=0)
 
     def test_deterministic(self):
         g = Graph(10, random_connected_gnp(10, 0.4, seed=21))

@@ -370,6 +370,16 @@ class TestWeightedPhase1:
         with pytest.raises(EncodingError):
             weighted_phase1(g, 1)
 
+    def test_class_mask_wider_than_bandwidth_rejected(self):
+        # a weight takes 4 words, so center 0's one-class mask makes 5;
+        # at 5 words the same star is scanned
+        g = Graph(5, [(0, i) for i in range(1, 5)],
+                  weights={0: 5, 1: 1, 2: 1, 3: 1, 4: 1})
+        with pytest.raises(EncodingError, match="class mask for center 0"):
+            weighted_phase1(g, 1, Model(CONGEST, bandwidth_words=4))
+        S, _ = weighted_phase1(g, 1, Model(CONGEST, bandwidth_words=5))
+        assert S == {1, 2, 3, 4}
+
 
 class TestG2MwvcEps:
     def test_weighted_star(self):

@@ -294,6 +294,61 @@ def small_connected_graphs(draw):
     return Graph(n, sorted(edges)), Graph(n, sorted(edges), weights=weights)
 
 
+# one step's change to wake_at: ("in", d) sets it d sweeps ahead, 20 or
+# more being a far wake; "keep" re-arms the sweep it names; "back" restores
+# the sweep it named before its last change; "none" clears it
+WAKES = st.one_of(
+    st.tuples(st.just("in"), st.integers(1, 4)),
+    st.tuples(st.just("in"), st.integers(20, 80)),
+    st.tuples(st.sampled_from(["keep", "back", "none"]), st.just(0)),
+)
+
+
+@st.composite
+def wake_plans(draw):
+    """A small connected graph and, per node, the actions of its first
+    steps: a change to wake_at and the ids to mail if they are neighbors."""
+    g, _ = draw(small_connected_graphs())
+    ids = st.lists(st.integers(0, g.n - 1), max_size=3)
+    plans = [
+        draw(st.lists(st.tuples(WAKES, ids), max_size=6)) for _ in range(g.n)
+    ]
+    return g, plans
+
+
+class Planned(NodeProgram):
+    """Takes the next action of its plan in each step where it has mail,
+    is due or is in sweep 0, and records that step; any other step is
+    idle and changes nothing but the idle count."""
+
+    def __init__(self, ctx, plan):
+        super().__init__(ctx)
+        self.plan = list(plan)
+        self.before = None  # wake_at before its last change
+        self.idle = 0
+        self.output = []
+
+    def step(self, r, inbox):
+        if r and not inbox and r != self.wake_at:
+            self.idle += 1
+            return {}
+        self.output.append((r, tuple(inbox.items())))
+        (kind, ahead), targets = self.plan.pop(0) if self.plan else (("none", 0), [])
+        t = self.wake_at
+        if kind == "in":
+            wake = r + ahead
+        elif kind == "keep":
+            wake = t if t is not None and t > r else None
+        elif kind == "back":
+            wake = self.before if self.before is not None and self.before > r else None
+        else:
+            wake = None
+        if wake != t:
+            self.before = t
+        self.wake_at = wake
+        return {u: (r % 2,) for u in targets if u in self.ctx.neighbors}
+
+
 class TestSleepingIsSound:
     """Stepping every node in every sweep changes nothing: a node the
     engine lets sleep would have done nothing with an empty inbox."""
@@ -338,6 +393,30 @@ class TestSleepingIsSound:
                 m.setattr(module, "run", dense_run)
             dense = results()
         assert repr(woken) == repr(dense)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(case=wake_plans())
+    def test_random_wake_plans_agree(self, case):
+        # run steps a node only with mail, in sweep 0 or at the sweep its
+        # wake_at names now, however often it re-armed or moved it
+        g, plans = case
+
+        def outcome(engine):
+            programs = []
+
+            def factory(ctx):
+                programs.append(Planned(ctx, plans[ctx.node]))
+                return programs[-1]
+
+            try:
+                outputs, stats = engine(g, factory, Model(CONGEST))
+            except RoundCapError:
+                return "RoundCapError", programs
+            return repr((outputs, stats)), programs
+
+        woken, programs = outcome(run)
+        assert all(p.idle == 0 for p in programs)
+        assert woken == outcome(dense_run)[0]
 
 
 class TestWords:
