@@ -20,7 +20,7 @@ class ParseError(InputError):
 
 
 class SizeCapError(PowerGraphError):
-    """Instance exceeds the exact-solver size guard."""
+    """An exact search passed its budget of exact.SEARCH_NODES nodes."""
 
 
 class ConnectivityError(PowerGraphError):

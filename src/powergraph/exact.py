@@ -1,10 +1,10 @@
 """Exact minimum (weighted) vertex cover and dominating set solvers.
 
-Both are branch-and-bound searches with standard reductions; they are meant
-for desk-scale instances and refuse anything larger than a configurable
-vertex cap (for vertex cover, per connected component).  With a fixed input
-the returned optimum is deterministic: the first optimal solution found
-under the (deterministic) branch order is kept.
+Both are branch-and-bound searches with standard reductions.  A search
+that passes SEARCH_NODES nodes raises SizeCapError; the vertex cover
+search is one per connected component, the dominating set search one per
+call.  With a fixed input the returned optimum is deterministic: the first
+optimal solution found under the (deterministic) branch order is kept.
 """
 
 import math
@@ -12,31 +12,26 @@ import math
 from .errors import SizeCapError
 from .graph import DS1, VC1, make_solution
 
-DEFAULT_CAP = 64
+SEARCH_NODES = 100_000
 
 
-def exact_mvc(g, cap=DEFAULT_CAP):
+def exact_mvc(g):
     """Minimum-weight vertex cover of g itself (apply to square(g) for VC2).
 
-    Each connected component is covered on its own, and the size guard
-    applies to each one; isolated vertices never enter a cover and are not
-    counted.  The cover is the one a search of the whole graph would keep.
-    """
-    comps = _components(g)
-    largest = max(map(len, comps), default=0)
-    if largest > cap:
-        raise SizeCapError(f"a component of {largest} vertices exceeds cap {cap}")
+    Each connected component is covered by a search of its own, of at most
+    SEARCH_NODES nodes; isolated vertices never enter a cover.  The cover is
+    the one a search of the whole graph would keep."""
     w = _int_weights(g)
     members = set()
-    for comp in comps:
+    for comp in _components(g):
         adj = {v: set(g.adj[v]) for v in comp}
         chosen = set()
         # zero-weight vertices are free: take any that covers an edge
         for v in sorted(adj):
             if v in adj and w[v] == 0:
                 _take_into_cover(adj, chosen, v)
-        best = _MvcBest()
-        _mvc_branch(w, adj, chosen, best)
+        best = _Search(f"a component of {len(comp)} vertices")
+        _mvc_search(w, adj, chosen, best)
         members |= best.members
     return make_solution(g, VC1, members)
 
@@ -70,10 +65,20 @@ def _components(g):
     return comps
 
 
-class _MvcBest:
-    def __init__(self):
+class _Search:
+    """The best solution one search has found, and its count of nodes."""
+
+    def __init__(self, label):
+        self.label = label
         self.weight = None
         self.members = None
+        self.nodes = 0
+
+    def visit(self):
+        self.nodes += 1
+        if self.nodes > SEARCH_NODES:
+            raise SizeCapError(f"the search of {self.label} passed "
+                               f"exact.SEARCH_NODES = {SEARCH_NODES} nodes")
 
     def offer(self, weight, members):
         if self.weight is None or weight < self.weight:
@@ -135,33 +140,35 @@ def _mvc_lower_bound(w, adj):
     return lb
 
 
-def _mvc_branch(w, adj, chosen, best):
-    """Search below one node; adj and chosen belong to it and are changed."""
-    _mvc_reduce(w, adj, chosen)
-    weight = sum(w[v] for v in chosen)
-    if not adj:
-        best.offer(weight, chosen)
-        return
-    if best.weight is not None and weight + _mvc_lower_bound(w, adj) >= best.weight:
-        return
-    # branch on a max-degree vertex (smallest id on ties)
-    v = min(adj, key=lambda u: (-len(adj[u]), u))
-    # branch 1: v in the cover
-    a1 = {u: set(s) for u, s in adj.items()}
-    c1 = set(chosen)
-    _take_into_cover(a1, c1, v)
-    _mvc_branch(w, a1, c1, best)
-    # branch 2: v excluded, so all its neighbors join
-    for u in sorted(adj[v]):
-        if u in adj:
-            _take_into_cover(adj, chosen, u)
-    _mvc_branch(w, adj, chosen, best)
+def _mvc_search(w, adj, chosen, best):
+    """Search depth-first from one node; each node's adj and chosen change."""
+    todo = [(adj, chosen)]
+    while todo:
+        adj, chosen = todo.pop()
+        best.visit()
+        _mvc_reduce(w, adj, chosen)
+        weight = sum(w[v] for v in chosen)
+        if not adj:
+            best.offer(weight, chosen)
+            continue
+        if best.weight is not None and weight + _mvc_lower_bound(w, adj) >= best.weight:
+            continue
+        # branch on a max-degree vertex (smallest id on ties)
+        v = min(adj, key=lambda u: (-len(adj[u]), u))
+        # branch 1: v in the cover
+        a1 = {u: set(s) for u, s in adj.items()}
+        c1 = set(chosen)
+        _take_into_cover(a1, c1, v)
+        # branch 2: v excluded, so all its neighbors join
+        for u in sorted(adj[v]):
+            if u in adj:
+                _take_into_cover(adj, chosen, u)
+        todo += [(adj, chosen), (a1, c1)]  # branch 1 is searched first
 
 
-def exact_mds(g, cap=DEFAULT_CAP):
-    """Minimum-weight dominating set of g itself (use square(g) for DS2)."""
-    if g.n > cap:
-        raise SizeCapError(f"{g.n} vertices exceeds cap {cap}")
+def exact_mds(g):
+    """Minimum-weight dominating set of g itself (use square(g) for DS2),
+    found by one search of the whole graph, of at most SEARCH_NODES nodes."""
     closed = {v: frozenset(g.adj[v]) | {v} for v in range(g.n)}
     candidates = {v: set(closed[v]) for v in range(g.n)}
     uncovered = set(range(g.n))
@@ -173,8 +180,8 @@ def exact_mds(g, cap=DEFAULT_CAP):
             chosen.add(v)
             uncovered -= closed[v]
 
-    best = _MvcBest()
-    _mds_branch(w, candidates, uncovered, chosen, best)
+    best = _Search(f"{g.n} vertices")
+    _mds_search(w, candidates, uncovered, chosen, best)
     return make_solution(g, DS1, best.members)
 
 
@@ -243,20 +250,21 @@ def _mds_lower_bound(w, cover):
     return lb
 
 
-def _mds_branch(w, candidates, uncovered, chosen, best):
-    """Search below one node; its arguments belong to it and are changed."""
-    cover = _mds_reduce(w, candidates, uncovered, chosen)
-    weight = sum(w[v] for v in chosen)
-    if not uncovered:
-        best.offer(weight, chosen)
-        return
-    if best.weight is not None and weight + _mds_lower_bound(w, cover) >= best.weight:
-        return
-    # branch on the hardest element: fewest candidates, smallest id on ties
-    e = min(uncovered, key=lambda e: (len(cover[e]), e))
-    for v in sorted(cover[e]):  # none: infeasible along this branch
-        c2 = {u: set(s) for u, s in candidates.items()}
-        u2 = uncovered - c2[v]
-        ch2 = chosen | {v}
-        del c2[v]
-        _mds_branch(w, c2, u2, ch2, best)
+def _mds_search(w, candidates, uncovered, chosen, best):
+    """Search depth-first from one node; each node's arguments change."""
+    todo = [(candidates, uncovered, chosen)]
+    while todo:
+        candidates, uncovered, chosen = todo.pop()
+        best.visit()
+        cover = _mds_reduce(w, candidates, uncovered, chosen)
+        weight = sum(w[v] for v in chosen)
+        if not uncovered:
+            best.offer(weight, chosen)
+            continue
+        if best.weight is not None and weight + _mds_lower_bound(w, cover) >= best.weight:
+            continue
+        # branch on the hardest element: fewest candidates, smallest id on ties
+        e = min(uncovered, key=lambda e: (len(cover[e]), e))
+        for v in sorted(cover[e], reverse=True):  # none: infeasible here
+            c2 = {u: set(s) for u, s in candidates.items()}
+            todo.append((c2, uncovered - c2.pop(v), chosen | {v}))

@@ -25,7 +25,6 @@ from .errors import ContractError, GenerationError, InputError
 from .exact import exact_mds, exact_mvc
 from .graph import DS2, VC2, Graph, is_feasible, square
 
-ORACLE_CAP = 256
 SET_SYSTEM_TRIES = 500
 
 
@@ -380,21 +379,13 @@ class SetSystem:
 
 
 def r_covering_holds(sets, universe, r):
-    """Exhaustively check the r-covering property."""
-    sets = [frozenset(s) for s in sets]
+    """Exhaustively check the r-covering property: no r distinct indices,
+    each taking its set or the set's complement, cover the universe."""
     full = frozenset(range(1, universe + 1))
-    labeled = []
-    for i, s in enumerate(sets):
-        labeled.append((i, s))
-        labeled.append((i, full - s))
-    for combo in itertools.combinations(labeled, r):
-        indices = [i for i, _ in combo]
-        if len(set(indices)) < len(indices):
-            continue  # includes a complementary pair (or a repeat)
-        union = frozenset().union(*(s for _, s in combo))
-        if union == full:
-            return False
-    return True
+    sides = [(frozenset(s), full - frozenset(s)) for s in sets]
+    return not any(frozenset().union(*pick) == full
+                   for chosen in itertools.combinations(sides, r)
+                   for pick in itertools.product(*chosen))
 
 
 def gen_set_system(universe, t, r, seed=0):
@@ -661,7 +652,7 @@ def verify_family(inst):
     th = inst.thresholds
     target = square(inst.graph) if th["power"] == 2 else inst.graph
     solve = exact_mvc if th["problem"] == "vc" else exact_mds
-    value = solve(target, cap=ORACLE_CAP).value
+    value = solve(target).value
     low = th.get("low", th.get("value"))
     high = th.get("high", low)
     disj = disjoint(inst.x, inst.y)

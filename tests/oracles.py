@@ -49,6 +49,23 @@ def brute_min_vc(n, edges, weights=None):
     return best
 
 
+def milp_min_vc(g):
+    """Minimum vertex cover value of g (integral weights) by scipy's MILP
+    solver: a 0/1 variable per vertex and x_u + x_v >= 1 per edge."""
+    import numpy as np
+    from scipy.optimize import Bounds, LinearConstraint, milp
+
+    edges = list(g.edges())
+    rows = np.zeros((len(edges), g.n))
+    for i, (u, v) in enumerate(edges):
+        rows[i, u] = rows[i, v] = 1
+    cost = np.array([float(g.weight(v)) for v in range(g.n)])
+    res = milp(cost, constraints=LinearConstraint(rows, lb=1),
+               integrality=np.ones(g.n), bounds=Bounds(0, 1))
+    assert res.success, res.message
+    return round(res.fun)
+
+
 def brute_min_ds(n, edges, weights=None):
     """Minimum (weighted) dominating set value by subset enumeration."""
     adj = {v: {v} for v in range(n)}
@@ -66,6 +83,25 @@ def brute_min_ds(n, edges, weights=None):
                 if best is None or w < best:
                     best = w
     return best
+
+
+def r_covering_holds_by_subsets(sets, universe, r):
+    """The r-covering property by walking every r-subset of the 2t sets
+    and their complements, skipping those that repeat an index."""
+    sets = [frozenset(s) for s in sets]
+    full = frozenset(range(1, universe + 1))
+    labeled = []
+    for i, s in enumerate(sets):
+        labeled.append((i, s))
+        labeled.append((i, full - s))
+    for combo in itertools.combinations(labeled, r):
+        indices = [i for i, _ in combo]
+        if len(set(indices)) < len(indices):
+            continue  # includes a complementary pair (or a repeat)
+        union = frozenset().union(*(s for _, s in combo))
+        if union == full:
+            return False
+    return True
 
 
 def random_connected_gnp(n, p, seed):

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from powergraph import cli
+from powergraph import cli, exact
 from powergraph.cli import ALGOS, main
 from powergraph.errors import ParseError
 from powergraph.graph import Graph
@@ -274,6 +274,34 @@ class TestRun:
         record = json.loads(lines[0])
         assert record["error"] == "InputError"
         assert "POWERGRAPH_ROUND_CAP" in record["message"]
+
+    @pytest.fixture()
+    def tree200_file(self, tmp_path, capsys):
+        fname = str(tmp_path / "t200.graph")
+        code, _ = run_cli(capsys, "gen", "random", "--model", "tree",
+                          "--n", "200", "--seed", "1", "--output", fname)
+        assert code == 0
+        return fname
+
+    @pytest.mark.parametrize("algo", ["exact-mvc2", "exact-mds2"])
+    def test_exact_solves_a_200_vertex_tree(self, tree200_file, capsys,
+                                            algo):
+        # the square of the tree is one component, solved in one node
+        code, out = run_cli(capsys, "run", "--algo", algo,
+                            "--input", tree200_file)
+        assert code == 0
+        report = json.loads(out)
+        assert report["n"] == 200 and report["feasible"] is True
+
+    @pytest.mark.parametrize("algo", ["exact-mvc2", "exact-mds2"])
+    def test_search_budget_is_one_record(self, tree200_file, capsys,
+                                         monkeypatch, algo):
+        monkeypatch.setattr(exact, "SEARCH_NODES", 0)
+        code = main(["run", "--algo", algo, "--input", tree200_file])
+        captured = capsys.readouterr()
+        record = one_record(code, captured.out, captured.err)
+        assert record["error"] == "SizeCapError"
+        assert "exact.SEARCH_NODES = 0 nodes" in record["message"]
 
     def test_timing_only_when_requested(self, c5_file, capsys):
         _, plain = run_cli(capsys, "run", "--algo", "exact-mvc2",

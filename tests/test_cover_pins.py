@@ -21,13 +21,17 @@ import random
 import sys
 from fractions import Fraction
 
+import pytest
+
+from powergraph import mvc_distributed
 from powergraph.errors import PowerGraphError
-from powergraph.graph import Graph
+from powergraph.exact import exact_mvc
+from powergraph.graph import VC1, VC2, Graph, is_feasible
 from powergraph.mvc_centralized import g2mvc_hybrid
 from powergraph.mvc_distributed import g2mvc_eps, g2mwvc_eps
 from powergraph.sim import CLIQUE, CONGEST, Model
 
-from oracles import sparse_connected
+from oracles import milp_min_vc, sparse_connected
 
 PINNED = os.path.join(os.path.dirname(__file__), "data",
                       "cover_members_sha256.json")
@@ -85,6 +89,47 @@ def test_covers_match_pins():
         if pin_record(*case) != want
     ]
     assert changed == []
+
+
+# The pins whose leader's H has more than 64 non-isolated vertices; their
+# covers of H are checked against a MILP optimum
+LARGE_H = {
+    "sparse150-3-13": ("g2mwvc_eps-1/2",),
+    "sparse200-3-15": ("g2mvc_eps-1/4", "g2mwvc_eps-1/2"),
+    "sparse250-3-17": ("g2mvc_eps-1/4", "g2mwvc_eps-1/2"),
+    "sparse300-3-19": ("g2mvc_eps-1/4", "g2mwvc_eps-1/2"),
+}
+
+
+def spy_on_leader(monkeypatch):
+    """Record each (H, cover) the leader's exact solve returns."""
+    solved = []
+
+    def solve(H):
+        members = exact_mvc(H).members
+        solved.append((H, members))
+        return members
+
+    monkeypatch.setattr(mvc_distributed, "_solve_exact", solve)
+    return solved
+
+
+def test_large_leader_covers_are_milp_optima(monkeypatch):
+    pytest.importorskip("scipy.optimize")
+    solved = spy_on_leader(monkeypatch)
+    drivers = dict(DRIVERS)
+    checked = 0
+    for label, g, gw in pin_cases():
+        for name in LARGE_H.get(label, ()):
+            for variant in (CONGEST, CLIQUE):
+                sol, _ = drivers[name](g, gw, Model(variant))
+                H, cover = solved.pop()
+                assert sum(1 for v in range(H.n) if H.adj[v]) > 64
+                assert is_feasible(g, VC2, sol.members)
+                assert is_feasible(H, VC1, cover)
+                assert H.total_weight(cover) == milp_min_vc(H)
+                checked += 1
+    assert checked == 14
 
 
 if __name__ == "__main__":

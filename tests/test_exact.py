@@ -1,8 +1,11 @@
+import inspect
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from powergraph import exact
 from powergraph.errors import SizeCapError
 from powergraph.exact import exact_mds, exact_mvc
 from powergraph.graph import DS1, VC1, Graph, is_feasible, square
@@ -70,12 +73,12 @@ class TestExactMvc:
         assert s.value == Fraction(1, 2)
         assert s.members == {1}
 
-    def test_cap_counts_non_isolated_vertices(self):
-        g = Graph(100, [(0, 1)])
-        assert exact_mvc(g).value == 1  # isolated vertices do not count
-        big = complete(10)
-        with pytest.raises(SizeCapError):
-            exact_mvc(big, cap=9)
+    def test_cap_counts_non_isolated_vertices(self, monkeypatch):
+        # isolated vertices are never searched: one node covers the edge
+        monkeypatch.setattr(exact, "SEARCH_NODES", 1)
+        assert exact_mvc(Graph(100, [(0, 1)])).value == 1
+        with pytest.raises(SizeCapError, match="exact.SEARCH_NODES = 1 nodes"):
+            exact_mvc(cycle(5))
 
     def test_deterministic(self):
         edges = random_connected_gnp(9, 0.4, seed=42)
@@ -83,7 +86,6 @@ class TestExactMvc:
         assert exact_mvc(g).members == exact_mvc(g).members
 
     def test_disjoint_union_solved_per_component(self):
-        # each part is under the cap, their union is over it
         rng = random.Random(31)
         parts = [
             Graph(30, random_connected_gnp(30, 0.12, seed=4100)),
@@ -97,7 +99,6 @@ class TestExactMvc:
             weights.update({v + offset: part.weight(v) for v in range(part.n)})
             offset += part.n
         union = Graph(offset, edges, weights=weights)
-        assert offset > 64
         sol = exact_mvc(union)
         assert is_feasible(union, VC1, sol.members)
         assert sol.value == sum(exact_mvc(part).value for part in parts)
@@ -107,11 +108,17 @@ class TestExactMvc:
             offset += part.n
         assert sol.members == expected
 
-    def test_cap_error_names_the_component(self):
-        g = Graph(80, [(v, v + 1) for v in range(69)] + [(70, 71)])
-        with pytest.raises(SizeCapError, match="component of 70 vertices"):
+    def test_cap_error_names_the_component(self, monkeypatch):
+        path70 = [(v, v + 1) for v in range(69)]
+        assert exact_mvc(Graph(80, path70 + [(70, 71)])).value == 35 + 1
+        # the path takes one search node and a 5-cycle beside it three:
+        # the budget holds for each component's search on its own
+        g = Graph(80, path70 + [(70 + i, 70 + (i + 1) % 5) for i in range(5)])
+        monkeypatch.setattr(exact, "SEARCH_NODES", 3)
+        assert exact_mvc(g).value == 35 + 3
+        monkeypatch.setattr(exact, "SEARCH_NODES", 2)
+        with pytest.raises(SizeCapError, match="component of 5 vertices"):
             exact_mvc(g)
-        assert exact_mvc(g, cap=70).value == 35 + 1
 
 
 class TestExactMds:
@@ -162,14 +169,46 @@ class TestExactMds:
                 assert is_feasible(g, DS1, s.members)
                 assert s.value == brute_min_ds(n, edges, weights)
 
-    def test_cap(self):
-        with pytest.raises(SizeCapError):
-            exact_mds(Graph(70, []), cap=64)
+    def test_cap(self, monkeypatch):
+        # the budget counts search nodes, not vertices
+        assert exact_mds(Graph(70, [])).value == 70
+        monkeypatch.setattr(exact, "SEARCH_NODES", 4)
+        assert exact_mds(cycle(5)).value == 2
+        monkeypatch.setattr(exact, "SEARCH_NODES", 3)
+        with pytest.raises(SizeCapError,
+                           match="of 5 vertices passed exact.SEARCH_NODES = 3"):
+            exact_mds(cycle(5))
 
     def test_deterministic(self):
         edges = random_connected_gnp(9, 0.35, seed=77)
         g = Graph(9, edges)
         assert exact_mds(g).members == exact_mds(g).members
+
+
+def grid(rows, cols):
+    v = lambda i, j: i * cols + j  # noqa: E731
+    return Graph(rows * cols,
+                 [(v(i, j), v(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
+                 + [(v(i, j), v(i + 1, j)) for i in range(rows - 1) for j in range(cols)])
+
+
+class TestSearchStack:
+    # A search keeps the nodes it has still to visit on a list, so its
+    # depth does not grow the interpreter's stack.  Each search below runs
+    # with the recursion limit 15 frames above the caller; a recursive
+    # search would need 35 (vertex cover) and 18 (dominating set) frames.
+    @pytest.mark.parametrize("solve, g, value", [
+        (exact_mvc, grid(6, 60), 180),
+        (exact_mds, grid(2, 80), 41),
+    ])
+    def test_deep_search_in_a_shallow_stack(self, solve, g, value):
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 15)
+        try:
+            sol = solve(g)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert sol.value == value
 
 
 class TestTrivialSquareCoverBound:

@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergraph.errors import ContractError, GenerationError, InputError
 from powergraph.exact import exact_mds, exact_mvc
@@ -27,7 +29,12 @@ from powergraph.lowerbound import (
     verify_family,
 )
 
-from oracles import brute_min_ds, brute_min_vc, random_connected_gnp
+from oracles import (
+    brute_min_ds,
+    brute_min_vc,
+    r_covering_holds_by_subsets,
+    random_connected_gnp,
+)
 
 
 def bits4(value):
@@ -119,7 +126,7 @@ class TestMwvcSquare:
             base = gen_mvc_base(2, x, y)
             inst = gen_mwvc_square(2, x, y)
             base_opt = brute_min_vc(base.graph.n, list(base.graph.edges()))
-            sq_opt = exact_mvc(square(inst.graph), cap=256).value
+            sq_opt = exact_mvc(square(inst.graph)).value
             assert sq_opt == base_opt
 
     def test_zero_weights_and_count(self):
@@ -143,7 +150,7 @@ class TestMvcSquare:
             inst = gen_mvc_square(2, x, y)
             assert inst.params["gadget_count"] == 20  # 2k+4k*log2(k)+8*log2(k)
             base_opt = brute_min_vc(base.graph.n, list(base.graph.edges()))
-            sq_opt = exact_mvc(square(inst.graph), cap=256).value
+            sq_opt = exact_mvc(square(inst.graph)).value
             assert sq_opt == base_opt + 2 * inst.params["gadget_count"]
 
     def test_gadgets_square_to_triangles(self):
@@ -156,7 +163,7 @@ class TestMvcSquare:
 
     def test_normalized_optimum_form(self):
         inst = gen_mvc_square(2, *INTERSECTING)
-        opt = exact_mvc(square(inst.graph), cap=256)
+        opt = exact_mvc(square(inst.graph))
         norm = normalize_cover(inst, opt.members)
         assert len(norm) == opt.value
         for meta in inst.gadgets.values():
@@ -178,7 +185,7 @@ class TestMdsSquareExact:
             assert inst.params["gadget_count"] == 28
             assert inst.graph.n == 20 + 5 * 28
             base_opt = brute_min_ds(base.graph.n, list(base.graph.edges()))
-            sq_opt = exact_mds(square(inst.graph), cap=256).value
+            sq_opt = exact_mds(square(inst.graph)).value
             assert sq_opt == base_opt + inst.params["gadget_count"]
 
     def test_dangling_gadget_preserves_adjacency(self):
@@ -194,7 +201,7 @@ class TestMdsSquareExact:
 
     def test_normalized_optimum_keeps_middles(self):
         inst = gen_mds_square_exact(2, *INTERSECTING)
-        opt = exact_mds(square(inst.graph), cap=256)
+        opt = exact_mds(square(inst.graph))
         norm = normalize_cover(inst, opt.members)
         assert len(norm) <= opt.value
         for meta in inst.gadgets.values():
@@ -251,6 +258,22 @@ class TestSetSystem:
     def test_rejects_nonpositive(self):
         with pytest.raises(InputError):
             gen_set_system(0, 3, 1)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def test_agrees_with_subset_enumeration(self, data):
+        universe = data.draw(st.integers(1, 6))
+        elements = st.frozensets(st.integers(1, universe))
+        sets = data.draw(st.lists(elements, min_size=1, max_size=5))
+        r = data.draw(st.integers(1, 6))
+        assert (r_covering_holds(sets, universe, r)
+                == r_covering_holds_by_subsets(sets, universe, r))
+
+    def test_large_system_fails_fast(self):
+        # 30 sets over 8 elements: some 10 of them, each taken as itself or
+        # its complement, always cover everything
+        with pytest.raises(GenerationError):
+            gen_set_system(8, 30, 10)
 
 
 class TestApproxFamilies:
@@ -310,7 +333,7 @@ class TestDanglingTransform:
             g = Graph(n, random_connected_gnp(n, 0.45, seed=900 + trial))
             h = dangling_transform(g, 3)
             opt_g = brute_min_vc(g.n, list(g.edges()))
-            opt_h = exact_mvc(square(h), cap=256).value
+            opt_h = exact_mvc(square(h)).value
             assert opt_h == opt_g + 2 * g.m
 
     def test_rejects_bad_input(self):
@@ -340,7 +363,7 @@ class TestMergedDanglingTransform:
             g = Graph(n, random_connected_gnp(n, 0.45, seed=950 + trial))
             h = merged_dangling_transform(g)
             opt_g = brute_min_ds(g.n, list(g.edges()))
-            opt_h = exact_mds(square(h), cap=256).value
+            opt_h = exact_mds(square(h)).value
             assert opt_h == opt_g + 1
 
     def test_rejects_edgeless_and_weighted(self):
@@ -365,7 +388,7 @@ def shrink_cover(g, kind, rng):
 class TestNormalizeCover:
     def test_triangle_exchange(self):
         inst = gen_mvc_square(2, *INTERSECTING)
-        opt = exact_mvc(square(inst.graph), cap=256)
+        opt = exact_mvc(square(inst.graph))
         base = normalize_cover(inst, opt.members)
         # force a {2,3} shape inside one gadget, keeping feasibility
         meta = inst.gadgets["dp0"]
@@ -414,3 +437,22 @@ class TestVerifyFamily:
         assert blob["family"] == "MWDS-SQ-APPROX"
         assert len(blob["partition"]["a"]) + len(blob["partition"]["b"]) == inst.graph.n
         assert blob["cut"] and blob["thresholds"]["low"] == 6
+
+    @pytest.mark.parametrize("gen, k, n", [
+        (gen_mvc_square, 8, 464),
+        (gen_mwvc_square, 8, 192),
+        (gen_mds_square_exact, 4, 400),
+    ])
+    @pytest.mark.parametrize("intersect", [False, True])
+    def test_large_gadgets_agree(self, gen, k, n, intersect):
+        # x holds the first half of the k*k bits and y the second; an
+        # intersecting pair shares the last bit as well
+        size = k * k
+        half = "1" * (size // 2) + "0" * (size - size // 2)
+        x = "1" * size if intersect else half
+        y = "".join("1" if b == "0" else "0" for b in half)
+        inst = gen(k, x, y)
+        assert inst.graph.n == n
+        rep = verify_family(inst)
+        assert rep["disj"] != intersect
+        assert rep["agree"] and rep["cut_cap_ok"] and rep["partition_ok"]

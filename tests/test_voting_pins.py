@@ -19,11 +19,14 @@ import os
 import sys
 from fractions import Fraction
 
+import pytest
+
 from powergraph.errors import PowerGraphError
-from powergraph.graph import Graph
+from powergraph.graph import VC1, VC2, Graph, is_feasible
 from powergraph.mvc_distributed import g2mvc_cc_voting
 
-from oracles import random_connected_gnp
+from oracles import milp_min_vc, random_connected_gnp
+from test_cover_pins import spy_on_leader
 
 PINNED = os.path.join(os.path.dirname(__file__), "data",
                       "voting_members_sha256.json")
@@ -71,6 +74,20 @@ def test_covers_match_pins():
         if pin_record(*case) != want
     ]
     assert changed == []
+
+
+def test_large_leader_cover_is_a_milp_optimum(monkeypatch):
+    # the one pin whose leader's H has more than 64 non-isolated vertices
+    pytest.importorskip("scipy.optimize")
+    solved = spy_on_leader(monkeypatch)
+    label, g, eps, seed = pin_cases()[17]
+    assert label == "gnp100-0.1-17"
+    sol, _ = g2mvc_cc_voting(g, eps, seed=seed)
+    (H, cover), = solved
+    assert sum(1 for v in range(H.n) if H.adj[v]) > 64
+    assert is_feasible(g, VC2, sol.members)
+    assert is_feasible(H, VC1, cover)
+    assert H.total_weight(cover) == milp_min_vc(H)
 
 
 if __name__ == "__main__":
