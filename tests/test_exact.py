@@ -186,10 +186,10 @@ class TestExactMds:
 
 
 def grid(rows, cols):
-    v = lambda i, j: i * cols + j  # noqa: E731
-    return Graph(rows * cols,
-                 [(v(i, j), v(i, j + 1)) for i in range(rows) for j in range(cols - 1)]
-                 + [(v(i, j), v(i + 1, j)) for i in range(rows - 1) for j in range(cols)])
+    """The rows x cols grid graph; vertex i * cols + j sits at (i, j)."""
+    edges = [(v, v + 1) for v in range(rows * cols) if (v + 1) % cols]
+    edges += [(v, v + cols) for v in range((rows - 1) * cols)]
+    return Graph(rows * cols, edges)
 
 
 class TestSearchStack:

@@ -270,8 +270,9 @@ class TestSetSystem:
                 == r_covering_holds_by_subsets(sets, universe, r))
 
     def test_large_system_fails_fast(self):
-        # 30 sets over 8 elements: some 10 of them, each taken as itself or
-        # its complement, always cover everything
+        # in every try, some 10 of the 30 random sets over 8 elements, each
+        # taken as itself or its complement, cover everything, and the
+        # check finds them at once
         with pytest.raises(GenerationError):
             gen_set_system(8, 30, 10)
 
@@ -445,8 +446,8 @@ class TestVerifyFamily:
     ])
     @pytest.mark.parametrize("intersect", [False, True])
     def test_large_gadgets_agree(self, gen, k, n, intersect):
-        # x holds the first half of the k*k bits and y the second; an
-        # intersecting pair shares the last bit as well
+        # y holds the second half of the k*k bits; a disjoint x holds the
+        # first half, an intersecting x every bit
         size = k * k
         half = "1" * (size // 2) + "0" * (size - size // 2)
         x = "1" * size if intersect else half
