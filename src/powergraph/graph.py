@@ -80,6 +80,10 @@ class Graph:
         return self.weights[v]
 
     def total_weight(self, members):
+        """Total weight of a collection of distinct vertices: an int (the
+        count) when unweighted, else a Fraction."""
+        if self.weights is None:
+            return len(members)
         return sum((self.weight(v) for v in members), Fraction(0))
 
     def is_connected(self):
@@ -140,10 +144,7 @@ def make_solution(g, kind, members):
     for v in members:
         if not (0 <= v < g.n):
             raise InputError(f"solution member {v} out of range")
-    value = g.total_weight(members)
-    if g.weights is None:
-        value = int(value)
-    return Solution(kind, members, value)
+    return Solution(kind, members, g.total_weight(members))
 
 
 def is_feasible(g, kind, members):

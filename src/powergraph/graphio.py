@@ -18,16 +18,26 @@ from .graph import Graph
 
 
 def read_graph(path):
+    """Parse a graph file, checking each line once as it is read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+            try:
+                return _parse_lines(fh)
+            except ParseError:
+                # a file that is not UTF-8 reports that before any line
+                for _ in fh:
+                    pass
+                raise
     except UnicodeDecodeError:
         raise ParseError("graph file is not UTF-8 text")
+
+
+def _parse_lines(lines):
     n = None
     m = None
     weighted = False
-    edges = []
-    seen = set()
+    nbrs = []
+    seen = set()  # u * n + v for each edge, u < v
     weights = {}
     for lineno, raw in enumerate(lines, start=1):
         parts = raw.split()
@@ -50,6 +60,10 @@ def read_graph(path):
                     raise ParseError(f"unknown header flag {parts[3]!r}",
                                      line=lineno)
                 weighted = True
+            if n < 0:
+                raise ParseError(
+                    f"vertex count must be nonnegative, got {n}", line=lineno)
+            nbrs = [[] for _ in range(n)]
         elif kind == "e":
             if n is None:
                 raise ParseError("edge before header", line=lineno)
@@ -64,11 +78,12 @@ def read_graph(path):
                 raise ParseError(f"edge ({u},{v}) out of range", line=lineno)
             if u == v:
                 raise ParseError(f"self loop at {u}", line=lineno)
-            key = (min(u, v), max(u, v))
+            key = u * n + v if u < v else v * n + u
             if key in seen:
                 raise ParseError(f"duplicate edge ({u},{v})", line=lineno)
             seen.add(key)
-            edges.append(key)
+            nbrs[u].append(v)
+            nbrs[v].append(u)
         elif kind == "w":
             if n is None:
                 raise ParseError("weight before header", line=lineno)
@@ -97,14 +112,20 @@ def read_graph(path):
             raise ParseError(f"unknown line kind {kind!r}", line=lineno)
     if n is None:
         raise ParseError("missing 'p' header")
-    if len(edges) != m:
-        raise ParseError(f"header declares {m} edges, found {len(edges)}")
+    if len(seen) != m:
+        raise ParseError(f"header declares {m} edges, found {len(seen)}")
     if weighted:
         missing = [v for v in range(n) if v not in weights]
         if missing:
             raise ParseError(f"missing weight for vertex {missing[0]}")
-        return Graph(n, edges, weights=weights)
-    return Graph(n, edges)
+        weights = {v: weights[v] for v in range(n)}
+    else:
+        weights = None
+    del seen  # freed before the tuples are built
+    for v, us in enumerate(nbrs):
+        us.sort()
+        nbrs[v] = tuple(us)
+    return Graph._from_adjacency(n, tuple(nbrs), m, weights)
 
 
 def format_graph(g):

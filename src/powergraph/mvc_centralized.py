@@ -58,11 +58,52 @@ def _snapshot(adj):
 def vc_53_on_square(h):
     """Run the three-part cover routine on a squared graph h, treating
     all its edges alike.  Returns (cover set, PhaseTrace).
+
+    Part 1 reads h's adjacency tuples; only the vertices left after it get
+    a mutable neighbor set, so the extra memory is O(n) plus that residual.
     """
     if h.weights is not None:
         raise InputError("g2mvc_53 is unweighted")
     trace = PhaseTrace()
-    adj = {v: set(h.adj[v]) for v in range(h.n) if h.degree(v) > 0}
+    nbrs = h.adj
+
+    # part 1: remove vertex-disjoint triangles, smallest triple first.
+    # Removing vertices never creates a triangle, so one pass in id order
+    # takes the same triples as rescanning after every take.  gone[v] marks
+    # a taken or isolated vertex, left[v] counts v's neighbors not gone, and
+    # near[c] == a while a scans and c is a neighbor of a.  A vertex
+    # isolated in h from the start is gone but never joins W1.
+    left = [len(t) for t in nbrs]
+    gone = bytearray(not d for d in left)
+    near = [-1] * h.n
+    for a in range(h.n):
+        if gone[a]:
+            continue
+        for c in nbrs[a]:
+            near[c] = a
+        for b in nbrs[a]:
+            if b <= a or gone[b]:
+                continue
+            c = next((c for c in nbrs[b]
+                      if c > b and near[c] == a and not gone[c]), None)
+            if c is None:
+                continue
+            triple = (a, b, c)
+            trace.V1.update(triple)
+            trace.W1.update(triple)
+            for v in triple:
+                gone[v] = 1
+            for v in triple:
+                for u in nbrs[v]:
+                    if not gone[u]:
+                        left[u] -= 1
+                        if not left[u]:
+                            gone[u] = 1
+                            trace.W1.add(u)
+            break
+    adj = {v: {u for u in nbrs[v] if not gone[u]}
+           for v in range(h.n) if not gone[v]}
+    trace.R = _snapshot(adj)
 
     def take_group(vs, part_v, part_w):
         # all of vs enter the cover together, then isolated leftovers leave;
@@ -71,29 +112,14 @@ def vc_53_on_square(h):
         for v in vs:
             part_v.add(v)
             part_w.add(v)
-            nbrs = adj.pop(v, ())
-            for u in nbrs:
+            us = adj.pop(v, ())
+            for u in us:
                 adj[u].discard(v)
-            touched.update(nbrs)
+            touched.update(us)
         for u in touched:
             if u in adj and not adj[u]:
                 del adj[u]
                 part_w.add(u)
-
-    # part 1: remove vertex-disjoint triangles, smallest triple first.
-    # Removing vertices never creates a triangle, so one pass in id order
-    # takes the same triples as rescanning after every take.
-    for a in sorted(adj):
-        if a not in adj:
-            continue
-        for b in sorted(adj[a]):
-            if b <= a:
-                continue
-            cands = [c for c in adj[a] & adj[b] if c > b]
-            if cands:
-                take_group((a, b, min(cands)), trace.V1, trace.W1)
-                break
-    trace.R = _snapshot(adj)
 
     # part 2: eliminate degrees 1-3, lowest degree first, smallest id ties
     while True:
@@ -121,7 +147,11 @@ def vc_53_on_square(h):
 
     # part 3: 2-approximation by maximal matching on the residual graph
     trace.W3 = set(adj)
-    residual = Graph(h.n, sorted(trace.R_prime[1]))
+    rows = [()] * h.n
+    for v, us in adj.items():
+        rows[v] = tuple(sorted(us))
+    residual = Graph._from_adjacency(
+        h.n, tuple(rows), len(trace.R_prime[1]), None)
     trace.V3 = set(matching_2approx(residual).members)
     return trace.cover(), trace
 

@@ -258,3 +258,97 @@ def dense_run(g, factory, model):
         timer_due = sweep in timers
         inboxes = next_inboxes
     return [p.output for p in programs], stats
+
+
+def vc_53_by_sets(h):
+    """Reference for `powergraph.mvc_centralized.vc_53_on_square`: the same
+    three parts on a copy of h's adjacency as one set per vertex.
+
+    Returns (cover, parts): parts maps V1..V3 and W1..W3 to vertex sets and
+    R, R_prime to (vertex frozenset, edge frozenset) pairs.
+    """
+    parts = {k: set() for k in ("V1", "V2", "V3", "W1", "W2", "W3")}
+    adj = {v: set(h.adj[v]) for v in range(h.n) if h.adj[v]}
+
+    def snapshot():
+        return (frozenset(adj),
+                frozenset((u, v) for u in adj for v in adj[u] if u < v))
+
+    def take_group(vs, part_v, part_w):
+        touched = set()
+        for v in vs:
+            parts[part_v].add(v)
+            parts[part_w].add(v)
+            nbrs = adj.pop(v, ())
+            for u in nbrs:
+                adj[u].discard(v)
+            touched.update(nbrs)
+        for u in touched:
+            if u in adj and not adj[u]:
+                del adj[u]
+                parts[part_w].add(u)
+
+    # part 1: the smallest triangle (a, b, c) of the current graph, in id
+    # order of a, then b, then c
+    for a in sorted(adj):
+        if a not in adj:
+            continue
+        for b in sorted(adj[a]):
+            if b <= a:
+                continue
+            cands = [c for c in adj[a] & adj[b] if c > b]
+            if cands:
+                take_group((a, b, min(cands)), "V1", "W1")
+                break
+    parts["R"] = snapshot()
+
+    # part 2: degrees 1-3, lowest degree first, smallest id ties
+    while True:
+        low = [(len(adj[v]), v) for v in adj if len(adj[v]) <= 3]
+        if not low:
+            break
+        deg, x = min(low)
+        if deg == 1:
+            (y,) = adj[x]
+            chosen = [y]
+        elif deg == 2:
+            y1, y2 = sorted(adj[x])
+            z_opts = sorted(adj[y1] - {x})
+            chosen = z_opts[:1] + [y1, y2]
+        else:
+            y1, y2, y3 = sorted(adj[x])
+            excl = {x, y1, y2, y3}
+            z1_opts = sorted(adj[y1] - excl)
+            z1 = z1_opts[0] if z1_opts else None
+            z2_opts = sorted(adj[y2] - excl - {z1})
+            z2 = z2_opts[0] if z2_opts else None
+            chosen = [y1, y2, y3] + [z for z in (z1, z2) if z is not None]
+        take_group(chosen, "V2", "W2")
+    parts["R_prime"] = snapshot()
+
+    # part 3: greedy maximal matching, edges in lexicographic order
+    parts["W3"] = set(adj)
+    matched = set()
+    for u, v in sorted(parts["R_prime"][1]):
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+    parts["V3"] = matched
+    return parts["V1"] | parts["V2"] | parts["V3"], parts
+
+
+def traced_peak(fn):
+    """Peak bytes that Python allocates while fn() runs, by tracemalloc,
+    above what was allocated before; works whether or not tracing is on."""
+    import tracemalloc
+
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        fn()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()

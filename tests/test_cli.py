@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import random
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from powergraph.graphio import (
     write_graph,
 )
 
+from oracles import sparse_connected, traced_peak
 from test_graph import complete, cycle, path
 
 
@@ -77,6 +79,8 @@ class TestGraphFormat:
         ("p 2 1 weighted\nw 0 x\n", 2),     # malformed weight
         ("p 2 1 weighted\nw 0 -1\n", 2),    # negative weight
         ("p two 1\n", 1),                   # non-integer header
+        ("p -1 0\n", 1),                    # negative vertex count
+        ("c\np -1 1\ne 0 1\n", 2),           # ... at the header, not the edge
     ])
     def test_parse_errors_carry_line_numbers(self, tmp_path, text, lineno):
         fname = write_text(tmp_path, "bad.graph", text)
@@ -95,6 +99,35 @@ class TestGraphFormat:
         )
         with pytest.raises(ParseError, match="missing weight"):
             read_graph(fname)
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def test_read_inverts_write(self, tmp_path_factory, data):
+        n = data.draw(st.integers(0, 12))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                          if pairs else st.just([]))
+        weights = None
+        if data.draw(st.booleans()):
+            weight = st.fractions(min_value=0, max_value=20,
+                                  max_denominator=7)
+            weights = {v: data.draw(weight) for v in range(n)}
+        g = Graph(n, edges, weights=weights)
+        fname = str(tmp_path_factory.getbasetemp() / "round-trip.graph")
+        write_graph(g, fname)
+        assert read_graph(fname) == g
+
+    def test_memory_of_a_large_file(self, tmp_path):
+        # 3,000 vertices and 9,000 edges: checking the lines into a set of
+        # edge tuples and then again into one set per vertex takes about
+        # 4.0 MB, and checking each line once under 2 MB.  The bound leaves
+        # headroom because Python's object sizes differ between 3.10 and
+        # 3.11.
+        g = Graph(3000, sparse_connected(3000, 6, random.Random(1)))
+        fname = str(tmp_path / "big.graph")
+        write_graph(g, fname)
+        assert traced_peak(lambda: read_graph(fname)) < 3.2e6
 
 
 class TestGenRandom:
