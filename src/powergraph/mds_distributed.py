@@ -11,14 +11,15 @@ Cardinality estimation follows the minimum-of-exponentials scheme: every
 uncovered vertex draws r exponential samples, a chunk at a time as the
 bandwidth allows, and two relay-min rounds per chunk spread the per-sample
 minima over the 2-hop neighborhood.  The minima are folded in word form,
-as they arrive, and each vertex keeps only their running sum: r divided
-by that sum estimates the count.  Low-degree neighborhoods skip the
-sampling entirely and count exactly from explicitly forwarded edges.
+as they arrive, by one loop over each message's (hi, lo) word pairs into
+a list copy of the running best, and each vertex keeps only their
+running sum: r divided by that sum estimates the count.  Low-degree
+neighborhoods skip the sampling entirely and count exactly from
+explicitly forwarded edges.
 """
 
 import math
 from fractions import Fraction
-from itertools import chain
 
 from .errors import InputError, RoundCapError
 from .graph import DS2, make_solution
@@ -35,15 +36,20 @@ class EstimateConfig:
     probability 1 - O(n^-2), not always; samples is the number of
     exponential draws (the default keeps the failure bound
     exp(-eps^2 r / 3) <= n^-2), and exact_threshold the degree below which
-    neighborhoods are counted exactly instead of estimated.
+    neighborhoods are counted exactly instead of estimated.  Both are
+    positive ints, or None for their defaults.
     """
 
     def __init__(self, eps_est=Fraction(1, 8), samples=None, exact_threshold=None):
         eps_est = Fraction(eps_est)
         if not (0 < eps_est < Fraction(1, 4)):
             raise InputError("eps_est must lie strictly between 0 and 1/4")
-        if samples is not None and samples < 1:
-            raise InputError("samples must be a positive integer")
+        for name, value in (("samples", samples),
+                            ("exact_threshold", exact_threshold)):
+            if value is None:
+                continue
+            if type(value) is bool or not isinstance(value, int) or value < 1:
+                raise InputError(f"{name} must be a positive integer")
         self.eps_est = eps_est
         self.samples = samples
         self.exact_threshold = exact_threshold
@@ -67,9 +73,11 @@ class EstimateConfig:
 class _SampleMinProgram(NodeProgram):
     """Two relay-min sweeps per chunk of fixed-point samples, folded in
     word form.  A sample travels as two words, most significant first, so
-    the least (hi, lo) pair is the least sample: each step takes the
-    per-sample minimum of the running best and every inbox message at
-    once, without decoding either, and rebroadcasts it.  A node in U draws
+    the least (hi, lo) pair is the least sample: each step copies the
+    running best (or one message) into a list, loops over every other
+    message's word pairs, replaces pair j where the message's is smaller
+    (a smaller hi, or an equal hi and a smaller lo), and rebroadcasts the
+    result as a tuple, without decoding a sample.  A node in U draws
     a chunk's samples from its own stream when the chunk starts.  A node
     with nothing to report for a chunk stays silent; its output is the sum
     of all per-sample minima, or None if some chunk had no sample-holder
@@ -89,11 +97,17 @@ class _SampleMinProgram(NodeProgram):
         msgs = list(inbox.values())
         if self.best is not None:
             msgs.append(self.best)
-        if len(msgs) < 2:  # map(min, pairs) would reduce within each pair
+        if len(msgs) < 2:
             return msgs[0] if msgs else None
-        # zip(i, i) reads i left to right: one (hi, lo) pair per sample
-        pairs = [zip(i, i) for i in map(iter, msgs)]
-        return tuple(chain.from_iterable(map(min, *pairs)))
+        best = list(msgs.pop())  # the running best, when there is one
+        hi_idx = range(0, len(best), 2)
+        for m in msgs:
+            for j in hi_idx:
+                hi = m[j]
+                if hi <= best[j] and (hi < best[j] or m[j + 1] < best[j + 1]):
+                    best[j] = hi
+                    best[j + 1] = m[j + 1]
+        return tuple(best)
 
     def step(self, r, inbox):
         if r % 2:  # fold neighbor draws, rebroadcast the running minimum
@@ -128,11 +142,17 @@ class _SampleMinProgram(NodeProgram):
 def _draw_words(rng, count, frac_bits, bits):
     """Inverse-CDF exponentials, rounded to fixed point and clamped to
     [1, 2^(2 bits) - 1], as two words each, most significant first."""
-    scale, top, base = 1 << frac_bits, (1 << 2 * bits) - 1, 1 << bits
+    scale, top, mask = 1 << frac_bits, (1 << 2 * bits) - 1, (1 << bits) - 1
+    random, log = rng.random, math.log
     words = []
     for _ in range(count):
-        q = round(-math.log(1.0 - rng.random()) * scale)
-        words += divmod(min(max(q, 1), top), base)
+        q = round(-log(1.0 - random()) * scale)
+        if q < 1:
+            q = 1
+        elif q > top:
+            q = top
+        words.append(q >> bits)
+        words.append(q & mask)
     return tuple(words)
 
 
@@ -232,13 +252,12 @@ class _RelayBestProgram(NodeProgram):
         return a < b if self.prefer_min else a > b
 
     def step(self, r, inbox):
-        for s, msg in inbox.items():
-            val = tuple(msg)
-            if self._better(val, self.best):
-                self.best = val
+        for s, msg in inbox.items():  # sim.post admits only tuples
+            if self._better(msg, self.best):
+                self.best = msg
                 self.gateway = s
                 self.dirty = True
-            elif val == self.best and self.gateway is not None and s < self.gateway:
+            elif msg == self.best and self.gateway is not None and s < self.gateway:
                 self.gateway = s
         if r >= self.hops:
             self.wake_at = None

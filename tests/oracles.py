@@ -176,6 +176,33 @@ def sampled_2hop_estimates(g, U, r, seed):
     return out
 
 
+def fold_by_zip(msgs, best=None):
+    """Reference for `_SampleMinProgram._fold`: the per-sample minimum of
+    the (hi, lo) word pairs of msgs and the running best, read with
+    zip(i, i) and min, which compares each pair as a tuple.  None when
+    there is nothing to fold; a lone message is returned as is."""
+    msgs = list(msgs)
+    if best is not None:
+        msgs.append(best)
+    if len(msgs) < 2:  # map(min, pairs) would reduce within each pair
+        return msgs[0] if msgs else None
+    # zip(i, i) reads i left to right: one (hi, lo) pair per sample
+    pairs = [zip(i, i) for i in map(iter, msgs)]
+    return tuple(itertools.chain.from_iterable(map(min, *pairs)))
+
+
+def draw_words_by_divmod(rng, count, frac_bits, bits):
+    """Reference for `_draw_words`: count inverse-CDF exponentials from
+    rng, rounded to frac_bits fraction bits, clamped to [1, 2^(2 bits) - 1]
+    and split by divmod into two words, most significant first."""
+    scale, top, base = 1 << frac_bits, (1 << 2 * bits) - 1, 1 << bits
+    words = []
+    for _ in range(count):
+        q = round(-math.log(1.0 - rng.random()) * scale)
+        words += divmod(min(max(q, 1), top), base)
+    return tuple(words)
+
+
 def weight_classes(g, c, restrict=None):
     """Return (w_star, {class index -> member list}) for center c.
 

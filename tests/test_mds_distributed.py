@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergraph import mds_distributed
 from powergraph.errors import InputError, RoundCapError
@@ -14,10 +16,11 @@ from powergraph.mds_distributed import (
     estimate_2hop_counts,
     g2mds_logd,
 )
-from powergraph.sim import CLIQUE, CONGEST, Model, NodeProgram
+from powergraph.sim import CLIQUE, CONGEST, Model, NodeContext, NodeProgram
 
 from oracles import (
-    brute_min_ds, random_connected_gnp, sampled_2hop_estimates, sparse_connected,
+    brute_min_ds, draw_words_by_divmod, fold_by_zip, random_connected_gnp,
+    sampled_2hop_estimates, sparse_connected,
 )
 from test_graph import complete, cycle, path, star
 
@@ -56,6 +59,12 @@ class TestEstimateConfig:
         with pytest.raises(InputError):
             EstimateConfig(samples=samples)
 
+    @pytest.mark.parametrize("field", ["samples", "exact_threshold"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, "x", "3", True, False, 0, -2])
+    def test_counts_must_be_positive_ints(self, field, value):
+        with pytest.raises(InputError, match=f"{field} must be a positive integer"):
+            EstimateConfig(**{field: value})
+
     def test_one_sample_is_enough(self):
         est, exact, stats = estimate_2hop_counts(
             path(3), {0, 2}, EstimateConfig(samples=1, exact_threshold=1)
@@ -68,6 +77,7 @@ class TestEstimateConfig:
         r, t = cfg.resolve(100)
         assert r >= 6 * math.log(100) * 63  # 1/eps^2 = 64
         assert t == math.ceil(8 * math.log(100))
+        assert EstimateConfig(samples=3, exact_threshold=2).resolve(100) == (3, 2)
 
 
 class TestExactEstimation:
@@ -164,6 +174,89 @@ class TestSampledAgainstOracle:
             est, exact, _ = estimate_2hop_counts(g, U, cfg, seed=i, model=model)
             assert not any(exact)
             assert est == sampled_2hop_estimates(g, U, samples, seed=i)
+
+
+@st.composite
+def fold_inputs(draw):
+    """An inbox of 1-61 messages of 1-4 samples as (hi, lo) word pairs,
+    and a running best or None.  Each sample has a shared high word that
+    many pairs take, so high-word ties are common."""
+    bits = draw(st.integers(1, 10))
+    k = draw(st.integers(1, 4))
+    word = st.integers(0, (1 << bits) - 1)
+    tie_hi = draw(st.lists(word, min_size=k, max_size=k))
+
+    def message():
+        out = []
+        for j in range(k):
+            out.append(tie_hi[j] if draw(st.booleans()) else draw(word))
+            out.append(draw(word))
+        return tuple(out)
+
+    count = draw(st.integers(1, 61))
+    inbox = {s: message() for s in range(count)}
+    best = message() if draw(st.booleans()) else None
+    return bits, inbox, best
+
+
+def sample_min_program(bits, best):
+    ctx = NodeContext(0, 2, (1,), Model(CONGEST), bits)
+    p = mds_distributed._SampleMinProgram(ctx, None, 4, 1)
+    p.best = best
+    return p
+
+
+class TestFoldAndDraw:
+    """The in-place fold and the local-bound draw against the zip-based
+    and divmod-based references in tests/oracles."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(fold_inputs())
+    def test_fold_matches_zip_reference(self, case):
+        bits, inbox, best = case
+        got = sample_min_program(bits, best)._fold(inbox)
+        assert type(got) is tuple
+        assert got == fold_by_zip(inbox.values(), best)
+
+    def test_fold_of_one_message_or_none(self):
+        msg = (3, 1, 0, 2)
+        assert sample_min_program(4, None)._fold({5: msg}) is msg
+        assert sample_min_program(4, msg)._fold({}) is msg
+        assert sample_min_program(4, None)._fold({}) is None
+
+    def test_fold_breaks_high_word_ties_by_low_word(self):
+        inbox = {1: (2, 3, 1, 5), 2: (2, 4, 0, 15)}
+        got = sample_min_program(4, (2, 9, 1, 0))._fold(inbox)
+        assert got == (2, 3, 0, 15)
+
+    @pytest.mark.parametrize("bits", range(1, 11))
+    def test_draw_matches_divmod_reference(self, bits):
+        frac_bits = max(1, 2 * bits - 5)
+        for seed in range(60):
+            for count in (1, 4):
+                got = mds_distributed._draw_words(
+                    random.Random(seed), count, frac_bits, bits)
+                assert got == draw_words_by_divmod(
+                    random.Random(seed), count, frac_bits, bits)
+                assert len(got) == 2 * count and all(0 <= w < 1 << bits for w in got)
+
+    @pytest.mark.parametrize("bits", range(1, 11))
+    def test_draw_hits_both_clamps(self, bits):
+        class Stub:
+            """random() runs through fixed values: 0 rounds to 0, below the
+            clamp's 1; 1 - 2^-53 gives about 36.7 * 2^frac_bits, above its
+            2^(2 bits) - 1 at every width."""
+            def __init__(self):
+                self.values = iter([0.0, 1.0 - 2.0 ** -53, 0.5, 1.0 - 2.0 ** -52])
+
+            def random(self):
+                return next(self.values)
+
+        frac_bits = max(1, 2 * bits - 5)
+        mask = (1 << bits) - 1
+        got = mds_distributed._draw_words(Stub(), 4, frac_bits, bits)
+        assert got == draw_words_by_divmod(Stub(), 4, frac_bits, bits)
+        assert got[:4] == (0, 1, mask, mask) and got[6:] == (mask, mask)
 
 
 class TestSampledCostPinned:
