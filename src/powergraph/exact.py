@@ -96,7 +96,9 @@ def _take_into_cover(adj, chosen, v):
 
 
 def _mvc_reduce(w, adj, chosen):
-    """Apply the degree-1 and domination rules until neither fires.  No
+    """Apply the degree-1 and domination rules until neither fires, in
+    place.  A take by the domination rule starts both rules over; a pair
+    is rejected on degree before its neighborhoods are compared.  No
     vertex in adj is isolated: _take_into_cover drops one with its last edge."""
     changed = True
     while changed:
@@ -113,10 +115,14 @@ def _mvc_reduce(w, adj, chosen):
         if changed:
             continue
         # domination: edge (u,v) with N(v)\{u} subseteq N(u) and w(u)<=w(v);
-        # the scan stops at its first take, so adj does not change under it
+        # the scan stops at its first take, so adj does not change under it.
+        # As u is in N(v) but not in N(u), the subset holds when N(v)\N(u)
+        # is {u}; as v is in N(u) but not in N(v), it needs |N(u)| >= |N(v)|
         for v in sorted(adj):
-            for u in sorted(adj[v]):
-                if w[u] <= w[v] and adj[v] - {u} <= adj[u]:
+            nv = adj[v]
+            for u in sorted(nv):
+                if (w[u] <= w[v] and len(adj[u]) >= len(nv)
+                        and len(nv - adj[u]) == 1):
                     _take_into_cover(adj, chosen, u)
                     changed = True
                     break
@@ -185,37 +191,50 @@ def exact_mds(g):
     return make_solution(g, DS1, best.members)
 
 
-def _cover_of(candidates, uncovered):
-    """Each uncovered element's set of the candidates that cover it; every
-    candidate set must lie within `uncovered`."""
+def _mds_reduce(w, candidates, uncovered, chosen):
+    """Forced-choice and dominance reductions for the covering search, in
+    place; returns each uncovered element's set of the candidates that
+    cover it.
+
+    The rules fire in this order, and each change goes back to the first:
+    a forced pick, one sweep of candidate dominance, then element dominance
+    one element at a time.  The map is built once and kept current.  Only a
+    candidate whose set shrank is tested again: its rivals only shrink or
+    leave, so a candidate that was not dominated still is not.  Dropping an
+    element changes no other element's candidates, so the element scan
+    resumes past it unless a candidate was deleted since."""
     cover = {e: set() for e in uncovered}
     for v, cv in candidates.items():
+        cv &= uncovered
         for e in cv:
             cover[e].add(v)
-    return cover
-
-
-def _mds_reduce(w, candidates, uncovered, chosen):
-    """Forced-choice and dominance reductions for the covering search.
-    Each pass makes at most one kind of change and starts over; returns
-    _cover_of for what is left."""
+    single = {e for e in uncovered if len(cover[e]) == 1}
+    stale = set(candidates)  # candidates to test for dominance
+    scan = None  # the element dominance scan, and how far it got
     while True:
-        for v in candidates:
-            candidates[v] &= uncovered
-        cover = _cover_of(candidates, uncovered)
-        # forced: an uncovered element with a single remaining candidate
-        forced = next((e for e in sorted(uncovered) if len(cover[e]) == 1), None)
-        if forced is not None:
-            (v,) = cover[forced]
+        # forced: an uncovered element with a single remaining candidate.
+        # A pick changes no cover set that is left, so only a deletion
+        # below makes another element single; a pick never comes between
+        # two steps of the element scan.
+        if single:
+            (v,) = cover[min(single)]
             chosen.add(v)
-            uncovered -= candidates.pop(v)
+            cv = candidates.pop(v)
+            uncovered -= cv
+            single -= cv
+            stale.discard(v)
+            for e in cv:
+                for u in cover.pop(e):
+                    if u != v:
+                        candidates[u].discard(e)
+                        stale.add(u)
             continue
         # candidate dominance: drop u when some v covers a superset no
         # heavier, keeping the smaller id of two equals.  Such a v covers
         # each element of u's set, so one element's cover lists them all;
         # an empty set needs the full scan.
-        changed = False
-        for u in sorted(candidates):
+        deleted = False
+        for u in sorted(stale):
             cu = candidates[u]
             rivals = cover[next(iter(cu))] if cu else candidates
             if any(v != u and v in candidates and w[v] <= w[u]
@@ -223,15 +242,26 @@ def _mds_reduce(w, candidates, uncovered, chosen):
                    and not (cu == candidates[v] and w[v] == w[u] and v > u)
                    for v in rivals):
                 del candidates[u]
-                changed = True
-        if changed:
+                for e in cu:
+                    cover[e].discard(u)
+                    if len(cover[e]) == 1:
+                        single.add(e)
+                deleted = True
+        stale.clear()
+        if deleted:
+            scan = None
             continue
         # element dominance: drop e when covering e2 always covers e too
-        order = sorted(uncovered)
-        for e in order:
-            if any(cover[e2] < cover[e] or (cover[e2] == cover[e] and e2 < e)
-                   for e2 in order):
+        if scan is None:
+            scan = iter(sorted(uncovered))
+        for e in scan:
+            ce = cover[e]
+            if any(cover[e2] < ce or (cover[e2] == ce and e2 < e)
+                   for e2 in uncovered):
                 uncovered.discard(e)
+                for u in cover.pop(e):
+                    candidates[u].discard(e)
+                    stale.add(u)
                 break
         else:
             return cover

@@ -41,8 +41,11 @@ class EstimateConfig:
     """
 
     def __init__(self, eps_est=Fraction(1, 8), samples=None, exact_threshold=None):
-        eps_est = Fraction(eps_est)
-        if not (0 < eps_est < Fraction(1, 4)):
+        try:
+            eps_est = Fraction(eps_est)
+        except (TypeError, ValueError, OverflowError):
+            eps_est = None
+        if eps_est is None or not (0 < eps_est < Fraction(1, 4)):
             raise InputError("eps_est must lie strictly between 0 and 1/4")
         for name, value in (("samples", samples),
                             ("exact_threshold", exact_threshold)):

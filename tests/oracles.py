@@ -363,6 +363,106 @@ def vc_53_by_sets(h):
     return parts["V1"] | parts["V2"] | parts["V3"], parts
 
 
+def mvc_reduce_by_rescan(w, adj, chosen):
+    """Reference for `powergraph.exact._mvc_reduce`: the degree-1 pass and
+    the domination scan, each run over every vertex again after a change,
+    testing each pair as `adj[v] - {u} <= adj[u]`, with no degree test
+    first.
+    Changes adj and chosen in place."""
+    from powergraph.exact import _take_into_cover
+
+    changed = True
+    while changed:
+        changed = False
+        for v in sorted(adj):
+            if v not in adj:
+                continue
+            if len(adj[v]) == 1:
+                u = next(iter(adj[v]))
+                if w[u] <= w[v]:
+                    _take_into_cover(adj, chosen, u)
+                    changed = True
+        if changed:
+            continue
+        for v in sorted(adj):
+            for u in sorted(adj[v]):
+                if w[u] <= w[v] and adj[v] - {u} <= adj[u]:
+                    _take_into_cover(adj, chosen, u)
+                    changed = True
+                    break
+            if changed:
+                break
+
+
+def mds_reduce_by_rescan(w, candidates, uncovered, chosen):
+    """Reference for `powergraph.exact._mds_reduce`: each pass trims every
+    candidate set to `uncovered`, rebuilds the element->candidates map,
+    makes at most one kind of change (one forced pick, one sweep of
+    candidate dominance over every candidate, or one dropped element) and
+    starts over.  Changes its arguments in place and returns the map of
+    the last pass."""
+    while True:
+        for v in candidates:
+            candidates[v] &= uncovered
+        cover = {e: set() for e in uncovered}
+        for v, cv in candidates.items():
+            for e in cv:
+                cover[e].add(v)
+        forced = next((e for e in sorted(uncovered) if len(cover[e]) == 1), None)
+        if forced is not None:
+            (v,) = cover[forced]
+            chosen.add(v)
+            uncovered -= candidates.pop(v)
+            continue
+        # a v that covers u's set holds each of its elements
+        changed = False
+        for u in sorted(candidates):
+            cu = candidates[u]
+            rivals = cover[next(iter(cu))] if cu else candidates
+            if any(v != u and v in candidates and w[v] <= w[u]
+                   and cu <= candidates[v]
+                   and not (cu == candidates[v] and w[v] == w[u] and v > u)
+                   for v in rivals):
+                del candidates[u]
+                changed = True
+        if changed:
+            continue
+        order = sorted(uncovered)
+        for e in order:
+            if any(cover[e2] < cover[e] or (cover[e2] == cover[e] and e2 < e)
+                   for e2 in order):
+                uncovered.discard(e)
+                break
+        else:
+            return cover
+
+
+def search_node_counts(fn):
+    """fn()'s result and, in order, the number of `visit` calls of each
+    search that `powergraph.exact` ran meanwhile."""
+    from powergraph import exact
+
+    searches = []
+
+    class Counting(exact._Search):
+        def __init__(self, label):
+            super().__init__(label)
+            self.visits = 0
+            searches.append(self)
+
+        def visit(self):
+            self.visits += 1
+            super().visit()
+
+    saved = exact._Search
+    exact._Search = Counting
+    try:
+        result = fn()
+    finally:
+        exact._Search = saved
+    return result, [s.visits for s in searches]
+
+
 def traced_peak(fn):
     """Peak bytes that Python allocates while fn() runs, by tracemalloc,
     above what was allocated before; works whether or not tracing is on."""

@@ -6,7 +6,9 @@ and still return other vertices.  This test pins the sha256 of the sorted
 members of exact_mvc(square(g)) and exact_mds(square(g)), and of the
 vc_53_on_square cover with every PhaseTrace part, on a seeded list of
 sparse, G(n,p) and weighted graphs (rational weights with mixed
-denominators, zeros included).
+denominators, zeros included).  It also pins the node count of each exact
+search on the same graphs (SEARCH_NODES below), so a changed branch order
+fails even where the solutions stay the same.
 
 After an intended change of solutions, rewrite the pins with
 
@@ -25,10 +27,31 @@ from powergraph.exact import exact_mds, exact_mvc
 from powergraph.graph import Graph, square
 from powergraph.mvc_centralized import vc_53_on_square
 
-from oracles import random_connected_gnp, sparse_connected
+from oracles import random_connected_gnp, search_node_counts, sparse_connected
 
 PINNED = os.path.join(os.path.dirname(__file__), "data",
                       "central_members_sha256.json")
+
+# case: (nodes of each exact_mvc search, nodes of each exact_mds search) on
+# the case's square; edit by hand after an intended change of branch order
+SEARCH_NODES = {
+    "sparse0": ([1], [53]), "sparse1": ([1], [7]), "sparse2": ([1], [1]),
+    "sparse3": ([1], [15]), "sparse4": ([1], [7]), "sparse5": ([1], [1]),
+    "sparse6": ([1], [1]), "sparse7": ([1], [9]), "sparse8": ([1], [10]),
+    "sparse9": ([1], [3]), "sparse10": ([1], [1]), "sparse11": ([1], [1]),
+    "sparse12": ([1], [1]), "sparse13": ([1], [17]), "gnp0": ([3], [1]),
+    "gnp1": ([3], [1]), "gnp2": ([1], [1]), "gnp3": ([5], [1]),
+    "gnp4": ([1], [1]), "gnp5": ([1], [1]), "gnp6": ([1], [1]),
+    "gnp7": ([1], [1]), "gnp8": ([5], [4]), "gnp9": ([1], [1]),
+    "gnp10": ([1], [1]), "gnp11": ([1], [1]), "gnp12": ([1], [1]),
+    "gnp13": ([1], [1]), "weighted0": ([23], [4]), "weighted1": ([7], [16]),
+    "weighted2": ([1], [1]), "weighted3": ([9], [3]),
+    "weighted4": ([45], [76]), "weighted5": ([11], [3]),
+    "weighted6": ([35], [3]), "weighted7": ([9], [1]),
+    "weighted8": ([21], [4]), "weighted9": ([9], [3]),
+    "weighted10": ([7], [5]), "weighted11": ([21], [5]),
+    "weighted12": ([33], [9]), "weighted13": ([5], [1]),
+}
 
 
 def pin_cases():
@@ -88,6 +111,15 @@ def test_solutions_match_pins():
         if pin_record(label, g) != want
     ]
     assert changed == []
+
+
+def test_search_nodes_match_pins():
+    counts = {}
+    for label, g in pin_cases():
+        h = square(g)
+        counts[label] = tuple(search_node_counts(lambda: solve(h))[1]
+                              for solve in (exact_mvc, exact_mds))
+    assert counts == SEARCH_NODES
 
 
 if __name__ == "__main__":

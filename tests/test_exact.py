@@ -4,13 +4,18 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from powergraph import exact
 from powergraph.errors import SizeCapError
 from powergraph.exact import exact_mds, exact_mvc
 from powergraph.graph import DS1, VC1, Graph, is_feasible, square
 
-from oracles import brute_min_ds, brute_min_vc, random_connected_gnp
+from oracles import (
+    brute_min_ds, brute_min_vc, mds_reduce_by_rescan, mvc_reduce_by_rescan,
+    random_connected_gnp,
+)
 from test_graph import complete, cycle, path, star
 
 
@@ -183,6 +188,81 @@ class TestExactMds:
         edges = random_connected_gnp(9, 0.35, seed=77)
         g = Graph(9, edges)
         assert exact_mds(g).members == exact_mds(g).members
+
+
+@st.composite
+def reduction_inputs(draw):
+    """(graph, int weights, steps): a graph of up to 12 vertices or its
+    square, weights in 0..3 (zeros and ties), and up to 4 (take, vertex)
+    steps that move the state into the middle of a search."""
+    n = draw(st.integers(1, 12))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(n, edges)
+    if draw(st.booleans()):
+        g = square(g)
+    w = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    steps = draw(st.lists(st.tuples(st.booleans(), st.integers(0, n - 1)),
+                          max_size=4))
+    return g, w, steps
+
+
+def copied(state):
+    return [{k: set(s) for k, s in x.items()} if isinstance(x, dict) else set(x)
+            for x in state]
+
+
+class TestReductionsMatchReference:
+    # The in-place reductions must leave exactly the state that the
+    # rescanning references in tests/oracles.py leave, on every input.
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(reduction_inputs())
+    def test_mvc_reduce(self, case):
+        g, w, steps = case
+        adj = {v: set(g.adj[v]) for v in range(g.n) if g.adj[v]}
+        chosen = set()
+        for take, v in steps:  # a branch takes v, or all of v's neighbors
+            if v in adj:
+                for u in [v] if take else sorted(adj[v]):
+                    exact._take_into_cover(adj, chosen, u)
+        want = copied((adj, chosen))
+        mvc_reduce_by_rescan(w, *want)
+        exact._mvc_reduce(w, adj, chosen)
+        assert adj == want[0]
+        assert chosen == want[1]
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(reduction_inputs(), st.booleans(), st.booleans(), st.data())
+    def test_mds_reduce(self, case, any_sets, free_zeros, data):
+        g, w, steps = case
+        if any_sets:  # any set system, not only closed neighborhoods
+            masks = data.draw(st.lists(st.integers(0, (1 << g.n) - 1),
+                                       min_size=g.n, max_size=g.n))
+            closed = {v: {e for e in range(g.n) if m >> e & 1}
+                      for v, m in enumerate(masks)}
+        else:
+            closed = {v: set(g.adj[v]) | {v} for v in range(g.n)}
+        candidates = {v: set(closed[v]) for v in range(g.n)}
+        uncovered = set(range(g.n))
+        chosen = set()
+        if free_zeros:  # as exact_mds starts: chosen, yet still candidates
+            for v in range(g.n):
+                if w[v] == 0:
+                    chosen.add(v)
+                    uncovered -= closed[v]
+        for take, v in steps:  # a branch picks v; or v is dropped unpicked
+            if v in candidates:
+                cv = candidates.pop(v)
+                if take:
+                    chosen.add(v)
+                    uncovered -= cv
+        want = copied((candidates, uncovered, chosen))
+        want_cover = mds_reduce_by_rescan(w, *want)
+        cover = exact._mds_reduce(w, candidates, uncovered, chosen)
+        assert candidates == want[0]
+        assert uncovered == want[1]
+        assert chosen == want[2]
+        assert cover == want_cover
 
 
 def grid(rows, cols):

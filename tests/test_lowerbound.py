@@ -34,6 +34,7 @@ from oracles import (
     brute_min_vc,
     r_covering_holds_by_subsets,
     random_connected_gnp,
+    search_node_counts,
 )
 
 
@@ -439,10 +440,21 @@ class TestVerifyFamily:
         assert len(blob["partition"]["a"]) + len(blob["partition"]["b"]) == inst.graph.n
         assert blob["cut"] and blob["thresholds"]["low"] == 6
 
+    # (family generator, intersect): the nodes of each exact search that
+    # verify_family runs below; edit after an intended change of branch order
+    SEARCH_NODES = {
+        ("gen_mvc_square", False): [357], ("gen_mvc_square", True): [361],
+        ("gen_mwvc_square", False): [357], ("gen_mwvc_square", True): [361],
+        ("gen_mds_square_exact", False): [599],
+        ("gen_mds_square_exact", True): [204],
+        ("gen_mds_base", False): [22399], ("gen_mds_base", True): [6735],
+    }
+
     @pytest.mark.parametrize("gen, k, n", [
         (gen_mvc_square, 8, 464),
         (gen_mwvc_square, 8, 192),
         (gen_mds_square_exact, 4, 400),
+        pytest.param(gen_mds_base, 8, 68, marks=pytest.mark.slow),
     ])
     @pytest.mark.parametrize("intersect", [False, True])
     def test_large_gadgets_agree(self, gen, k, n, intersect):
@@ -454,6 +466,7 @@ class TestVerifyFamily:
         y = "".join("1" if b == "0" else "0" for b in half)
         inst = gen(k, x, y)
         assert inst.graph.n == n
-        rep = verify_family(inst)
+        rep, nodes = search_node_counts(lambda: verify_family(inst))
         assert rep["disj"] != intersect
         assert rep["agree"] and rep["cut_cap_ok"] and rep["partition_ok"]
+        assert nodes == self.SEARCH_NODES[gen.__name__, intersect]

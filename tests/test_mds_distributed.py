@@ -65,6 +65,11 @@ class TestEstimateConfig:
         with pytest.raises(InputError, match=f"{field} must be a positive integer"):
             EstimateConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", ["x", float("nan"), None, float("inf")])
+    def test_eps_must_be_a_number(self, value):
+        with pytest.raises(InputError, match="eps_est must lie"):
+            EstimateConfig(eps_est=value)
+
     def test_one_sample_is_enough(self):
         est, exact, stats = estimate_2hop_counts(
             path(3), {0, 2}, EstimateConfig(samples=1, exact_threshold=1)
