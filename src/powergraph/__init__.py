@@ -26,7 +26,7 @@ from .graph import (
     matching_2approx,
     square,
 )
-from .graphio import read_graph, read_sidecar, write_graph, write_sidecar
+from .graphio import read_graph, write_graph, write_sidecar
 from .lowerbound import (
     LowerBoundInstance,
     SetSystem,
@@ -40,7 +40,6 @@ from .lowerbound import (
     gen_mwvc_square,
     gen_set_system,
     merged_dangling_transform,
-    normalize_cover,
     verify_family,
 )
 from .mds_distributed import EstimateConfig, estimate_2hop_counts, g2mds_logd

@@ -238,6 +238,8 @@ def run_report(algo, g, eps=None, seed=0, model_name=None, with_opt=False,
 
 
 def _cmd_run(args):
+    if args.seed < 0:
+        raise InputError("seed must be non-negative")
     g = read_graph(args.input)
     eps = _parse_eps(args.eps) if args.eps is not None else None
     report = run_report(

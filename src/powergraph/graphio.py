@@ -151,8 +151,3 @@ def write_sidecar(sidecar, path):
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)
         fh.write("\n")
-
-
-def read_sidecar(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)

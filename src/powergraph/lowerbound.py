@@ -12,18 +12,16 @@ vertices (its anchors) takes side A when all its anchors are on side A,
 and side B otherwise.
 
 Gadget bookkeeping (which vertices form which path gadget, and what the
-gadget is attached to) is kept on the instance so covers can be rewritten
-into gadget-normal form and so instances can be serialized with their
-structure intact.
+gadget is attached to) is kept on the instance so instances can be
+serialized with their structure intact.
 """
 
 import itertools
 import random
-from fractions import Fraction
 
-from .errors import ContractError, GenerationError, InputError
+from .errors import GenerationError, InputError
 from .exact import exact_mds, exact_mvc
-from .graph import DS2, VC2, Graph, is_feasible, square
+from .graph import Graph, square
 
 SET_SYSTEM_TRIES = 500
 
@@ -128,9 +126,6 @@ class LowerBoundInstance:
         self.gadgets = dict(gadgets)
         self.x_edges = tuple(x_edges)
         self.y_edges = tuple(y_edges)
-
-    def id(self, name):
-        return self.names.index(name)
 
     def sidecar(self):
         """JSON-ready description of everything beyond the bare graph."""
@@ -547,102 +542,6 @@ def merged_dangling_transform(g):
         n += 2
     edges += [(c3, c3 + 1), (c3 + 1, c3 + 2)]
     return Graph(n + 3, edges)
-
-
-def _normalize_vc(inst, cover):
-    new = set(cover)
-    for meta in inst.gadgets.values():
-        if meta["kind"] == "vertex":
-            # zero-weight single-vertex gadgets are free to include
-            new.add(meta["verts"][0])
-        elif meta["kind"] == "path":
-            verts = meta["verts"]
-            new.difference_update(verts)
-            new.update(verts[:2])
-    return new
-
-
-def _uncovered_after(closed, members, check):
-    out = []
-    for v in check:
-        if v in members:
-            continue
-        if not any(u in members for u in closed[v]):
-            out.append(v)
-    return out
-
-
-def _ds_drop(closed, new, drop, anchors):
-    """Remove `drop` if domination survives, possibly swapping in one
-    anchor; leave it in place otherwise."""
-    if drop not in new:
-        return
-    affected = closed[drop]
-    new.discard(drop)
-    if not _uncovered_after(closed, new, affected):
-        return
-    for a in anchors:
-        if a in new:
-            continue
-        trial = new | {a}
-        if not _uncovered_after(closed, trial, affected):
-            new.add(a)
-            return
-    new.add(drop)  # no safe single-vertex exchange; keep it
-
-
-def _normalize_ds(inst, closed, cover):
-    new = set(cover)
-    for meta in inst.gadgets.values():
-        if meta["kind"] == "path":
-            verts = meta["verts"]
-            new.add(verts[2])
-            anchors = sorted(meta["anchors"])
-            for p in (4, 3, 1, 0):
-                if p < len(verts):
-                    _ds_drop(closed, new, verts[p], anchors)
-        elif meta["kind"] == "merged":
-            common = meta["common"]
-            new.add(common[0])
-            _ds_drop(closed, new, common[1], [])
-            _ds_drop(closed, new, common[2], [])
-            for head in meta["heads"]:
-                _ds_drop(closed, new, head["verts"][1],
-                         sorted(head["anchors"]))
-    return new
-
-
-def normalize_cover(inst, cover):
-    """Rewrite a feasible cover into gadget-normal form.
-
-    Vertex-cover instances end with {head, second} inside every path
-    gadget; domination instances end with the middle vertex inside every
-    gadget, dropping the rest when a single-anchor exchange keeps the set
-    feasible.  The result is feasible and never larger; the rewrite is run
-    to a fixpoint so it is idempotent.
-    """
-    kind = VC2 if inst.thresholds["problem"] == "vc" else DS2
-    cover = frozenset(cover)
-    if not is_feasible(inst.graph, kind, cover):
-        raise ContractError("normalize_cover requires a feasible cover")
-    if kind == DS2:
-        h2 = square(inst.graph)
-        closed = [frozenset(h2.adj[v]) | {v} for v in range(h2.n)]
-    current = set(cover)
-    for _ in range(5):
-        if kind == VC2:
-            rewritten = _normalize_vc(inst, current)
-        else:
-            rewritten = _normalize_ds(inst, closed, current)
-        if rewritten == current:
-            break
-        current = rewritten
-    result = frozenset(current)
-    if inst.graph.total_weight(result) > inst.graph.total_weight(cover):
-        raise ContractError("normalization increased the cover weight")
-    if not is_feasible(inst.graph, kind, result):
-        raise ContractError("normalization broke feasibility")
-    return result
 
 
 def verify_family(inst):

@@ -239,10 +239,11 @@ def check_input(g, name, weighted=False):
 
 
 def g2mvc_trivial(g):
-    """All vertices: on a connected graph any vertex cover of G^2 has at
-    least n/2 vertices, so the full vertex set is a 2-approximation."""
+    """All vertices when G has an edge: on a connected graph with n >= 2
+    any vertex cover of G^2 has at least n/2 vertices, so the full vertex
+    set is a 2-approximation.  A graph with no edge needs no vertex."""
     check_input(g, "g2mvc_trivial")
-    return make_solution(g, VC2, set(range(g.n)))
+    return make_solution(g, VC2, set(range(g.n)) if g.m else set())
 
 
 def g2mvc_eps(g, eps, model=None, seed=0):

@@ -20,7 +20,6 @@ from powergraph.graph import Graph
 from powergraph.graphio import (
     format_graph,
     read_graph,
-    read_sidecar,
     write_graph,
 )
 
@@ -397,7 +396,7 @@ class TestGenLb:
         assert code == 0 and out == ""
         g = read_graph(fname)
         assert g.n == 16
-        sidecar = read_sidecar(fname + ".json")
+        sidecar = json.loads(Path(fname + ".json").read_text())
         assert sidecar["family"] == "MVC-BASE"
         assert sidecar["x"] == "1100"
         assert set(sidecar["partition"]) == {"a", "b"}
@@ -412,7 +411,7 @@ class TestGenLb:
         assert code == 0
         g = read_graph(fname)
         assert g.weights is not None
-        sidecar = read_sidecar(fname + ".json")
+        sidecar = json.loads(Path(fname + ".json").read_text())
         assert sidecar["thresholds"]["problem"] == "ds"
 
     def test_deterministic_outputs(self, tmp_path, capsys):
@@ -541,6 +540,8 @@ class TestErrorContract:
         (("gen", "random", "--model", "tree", "--n", "3", "--p", "abc"),
          "InputError"),
         (("run", "--algo", "g2mds-logd", "--input", "{weighted}"),
+         "InputError"),
+        (("run", "--algo", "g2mds-logd", "--input", "{p3}", "--seed", "-1"),
          "InputError"),
     ])
     def test_bad_input_is_one_record(self, tmp_path, capsys, argv, error):

@@ -11,7 +11,6 @@ from powergraph.exact import exact_mds, exact_mvc
 from powergraph.graph import DS2, VC2, Graph, is_feasible, square
 from powergraph.lowerbound import (
     LowerBoundInstance,
-    SetSystem,
     dangling_transform,
     disjoint,
     gen_mds_base,
@@ -23,7 +22,6 @@ from powergraph.lowerbound import (
     gen_mwvc_square,
     gen_set_system,
     merged_dangling_transform,
-    normalize_cover,
     parse_bits,
     r_covering_holds,
     verify_family,
@@ -304,12 +302,12 @@ class TestApproxFamilies:
         # the square
         inst = gen_mwds_square_approx(2, 8, 2, *INTERSECTING, seed=0)
         h2 = square(inst.graph)
-        pair = {inst.id("S_1"), inst.id("Sb_1")}
-        gadget = [inst.id("alpha"), inst.id("beta")]
-        gadget += [inst.id(f"S_{j}") for j in (1, 2)]
-        gadget += [inst.id(f"Sb_{j}") for j in (1, 2)]
-        gadget += [inst.id(f"al_{i}") for i in range(1, 9)]
-        gadget += [inst.id(f"be_{i}") for i in range(1, 9)]
+        pair = {inst.names.index("S_1"), inst.names.index("Sb_1")}
+        gadget = [inst.names.index("alpha"), inst.names.index("beta")]
+        gadget += [inst.names.index(f"S_{j}") for j in (1, 2)]
+        gadget += [inst.names.index(f"Sb_{j}") for j in (1, 2)]
+        gadget += [inst.names.index(f"al_{i}") for i in range(1, 9)]
+        gadget += [inst.names.index(f"be_{i}") for i in range(1, 9)]
         for v in gadget:
             assert v in pair or pair & set(h2.adj[v])
 
@@ -375,6 +373,102 @@ class TestMergedDanglingTransform:
             merged_dangling_transform(
                 Graph(2, [(0, 1)], weights={0: 1, 1: 1})
             )
+
+
+def _normalize_vc(inst, cover):
+    new = set(cover)
+    for meta in inst.gadgets.values():
+        if meta["kind"] == "vertex":
+            # zero-weight single-vertex gadgets are free to include
+            new.add(meta["verts"][0])
+        elif meta["kind"] == "path":
+            verts = meta["verts"]
+            new.difference_update(verts)
+            new.update(verts[:2])
+    return new
+
+
+def _uncovered_after(closed, members, check):
+    out = []
+    for v in check:
+        if v in members:
+            continue
+        if not any(u in members for u in closed[v]):
+            out.append(v)
+    return out
+
+
+def _ds_drop(closed, new, drop, anchors):
+    """Remove `drop` if domination survives, possibly swapping in one
+    anchor; leave it in place otherwise."""
+    if drop not in new:
+        return
+    affected = closed[drop]
+    new.discard(drop)
+    if not _uncovered_after(closed, new, affected):
+        return
+    for a in anchors:
+        if a in new:
+            continue
+        trial = new | {a}
+        if not _uncovered_after(closed, trial, affected):
+            new.add(a)
+            return
+    new.add(drop)  # no safe single-vertex exchange; keep it
+
+
+def _normalize_ds(inst, closed, cover):
+    new = set(cover)
+    for meta in inst.gadgets.values():
+        if meta["kind"] == "path":
+            verts = meta["verts"]
+            new.add(verts[2])
+            anchors = sorted(meta["anchors"])
+            for p in (4, 3, 1, 0):
+                if p < len(verts):
+                    _ds_drop(closed, new, verts[p], anchors)
+        elif meta["kind"] == "merged":
+            common = meta["common"]
+            new.add(common[0])
+            _ds_drop(closed, new, common[1], [])
+            _ds_drop(closed, new, common[2], [])
+            for head in meta["heads"]:
+                _ds_drop(closed, new, head["verts"][1],
+                         sorted(head["anchors"]))
+    return new
+
+
+def normalize_cover(inst, cover):
+    """Rewrite a feasible cover into gadget-normal form.
+
+    Vertex-cover instances end with {head, second} inside every path
+    gadget; domination instances end with the middle vertex inside every
+    gadget, dropping the rest when a single-anchor exchange keeps the set
+    feasible.  The result is feasible and never larger; the rewrite is run
+    to a fixpoint so it is idempotent.
+    """
+    kind = VC2 if inst.thresholds["problem"] == "vc" else DS2
+    cover = frozenset(cover)
+    if not is_feasible(inst.graph, kind, cover):
+        raise ContractError("normalize_cover requires a feasible cover")
+    if kind == DS2:
+        h2 = square(inst.graph)
+        closed = [frozenset(h2.adj[v]) | {v} for v in range(h2.n)]
+    current = set(cover)
+    for _ in range(5):
+        if kind == VC2:
+            rewritten = _normalize_vc(inst, current)
+        else:
+            rewritten = _normalize_ds(inst, closed, current)
+        if rewritten == current:
+            break
+        current = rewritten
+    result = frozenset(current)
+    if inst.graph.total_weight(result) > inst.graph.total_weight(cover):
+        raise ContractError("normalization increased the cover weight")
+    if not is_feasible(inst.graph, kind, result):
+        raise ContractError("normalization broke feasibility")
+    return result
 
 
 def shrink_cover(g, kind, rng):

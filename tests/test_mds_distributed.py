@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from powergraph import mds_distributed
 from powergraph.errors import InputError, RoundCapError
-from powergraph.exact import exact_mds
 from powergraph.graph import DS2, Graph, is_feasible, square
 from powergraph.mds_distributed import (
     EstimateConfig,
@@ -22,7 +21,7 @@ from oracles import (
     brute_min_ds, draw_words_by_divmod, fold_by_zip, random_connected_gnp,
     sampled_2hop_estimates, sparse_connected,
 )
-from test_graph import complete, cycle, path, star
+from test_graph import cycle, path, star
 
 
 def two_hop_counts(g, U):

@@ -27,7 +27,7 @@ from oracles import (
     brute_min_vc, class_selectable, random_connected_gnp, sparse_connected,
     weight_classes,
 )
-from test_graph import complete, cycle, path, star
+from test_graph import cycle, path, star
 from test_weighted_pins import TWO_SCANS
 
 
@@ -283,9 +283,12 @@ class TestG2MvcTrivial:
 
     def test_within_factor_two_on_connected_graphs(self):
         rng = random.Random(41)
+        graphs = [Graph(1, [])]
         for trial in range(10):
             n = rng.randint(2, 9)
-            g = Graph(n, random_connected_gnp(n, 0.35, seed=600 + trial))
+            graphs.append(
+                Graph(n, random_connected_gnp(n, 0.35, seed=600 + trial)))
+        for g in graphs:
             assert g2mvc_trivial(g).value <= 2 * square_opt(g).value
 
 

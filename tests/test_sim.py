@@ -43,7 +43,7 @@ from powergraph.sim import (
 )
 
 from oracles import dense_run, sparse_connected
-from test_graph import complete, cycle, path, star
+from test_graph import complete, path, star
 
 
 class BroadcastOnce(NodeProgram):
