@@ -162,63 +162,108 @@ def build_H_from_F(F, U, n, weights=None):
     return Graph(n, edges, weights=weights)
 
 
-def _f_items(g, U):
-    """Per-node F-edge items: v reports each edge vu to a U-neighbor u as
-    (a, b, flag) with {a, b} = {u, v}, a < b, flag bit0 for a in U and
-    bit1 for b.  Every F-edge has an endpoint in U, so the other reports it."""
-    return [
-        [(v, u, (v in U) | 2) if v < u else (u, v, 1 | 2 * (v in U))
-         for u in g.adj[v] if u in U]
-        for v in range(g.n)
-    ]
+def _f_items(g, U, model):
+    """Per-node F-edge items (v, u, flag), flag bit0 for v in U and bit1
+    for u; F is the set of edges with an endpoint in U.  Under CONGEST
+    each U-node reports all its edges, so its own reports carry its id up
+    the path its verdict comes down.  Under CLIQUE every report goes
+    straight to the leader and the busiest reporter sets the rounds, so
+    each node reports its edges to U-neighbors, which spreads them wider.
+    Either way an edge inside U is reported twice."""
+    if model.variant == CONGEST:
+        return [[(v, u, 1 | 2 * (u in U)) for u in g.adj[v]] if v in U else []
+                for v in range(g.n)]
+    return [[(v, u, (v in U) | 2) for u in g.adj[v] if u in U]
+            for v in range(g.n)]
 
 
-def _decode_f(gathered, n, weights=None):
-    """H = G^2[U] from the packed F-edge items, U read off their flags."""
-    F = set()
-    U_seen = set()
-    for (a, b, flag) in set(unpack(gathered, 3)):
-        F.add((a, b))
+def _phase2_messages(g, U, model):
+    """Each node's messages to the leader: its F-edge items, packed, so
+    that each message starts with its id.  Under weights a U-node also
+    announces its weight: its id and the weight's four words head its last
+    message if they fit there, and travel alone if not.  A node with no
+    neighbor is the whole graph and has nothing to announce."""
+    bits = word_bits(g.n)
+    out = []
+    for v, its in enumerate(_f_items(g, U, model)):
+        msgs = pack(its, 3, model)
+        if g.weights is not None and v in U and g.adj[v]:  # v's own weight
+            ann = (v,) + _encode_weight(g.weight(v), bits)
+            if len(ann) > model.bandwidth_words:
+                raise EncodingError(f"announcement of node {v} exceeds bandwidth")
+            if msgs and len(ann) + len(msgs[-1]) <= model.bandwidth_words:
+                msgs[-1] = ann + msgs[-1]
+            else:
+                msgs.append(ann)
+        out.append(msgs)
+    return out
+
+
+def _decode_f(gathered, n, weighted):
+    """(H = G^2[U], U) from the gathered messages alone.  Under weights a
+    message whose length is not a multiple of three starts with a weight
+    announcement, five words; the rest are F-edge items.  U is read off
+    the flags, and each U-node's weight off its announcement; the vertices
+    outside U, isolated in H, weigh 0."""
+    bits = word_bits(n)
+    F, U_seen, weights, edge_msgs = set(), set(), {}, []
+    for msg in gathered:
+        if len(msg) % 3:
+            weights[msg[0]] = _decode_weight(msg[1:5], bits)
+            msg = msg[5:]
+        edge_msgs.append(msg)
+    for (a, b, flag) in unpack(edge_msgs, 3):
+        F.add((min(a, b), max(a, b)))
         if flag & 1:
             U_seen.add(a)
         if flag & 2:
             U_seen.add(b)
-    return build_H_from_F(F, U_seen, n, weights=weights)
+    if weighted:
+        weights = {v: weights.get(v, 0) for v in range(n)}
+    H = build_H_from_F(F, U_seen, n, weights=weights if weighted else None)
+    return H, U_seen
 
 
 def leader_phase2(g, S, model, solve, stats):
     """Phase II: cover H = G^2[V - S], where S is the first phase's cover.
 
-    A leader gathers F, rebuilds H with g's weights, covers it with
-    solve(H) and sends the cover back; each node keeps the verdict it
-    hears.  F goes up two items to a message.  Under CONGEST the leader is
-    elected, and its BFS tree carries F up and the sorted cover ids down,
-    `bandwidth_words` to a message.  Under CLIQUE node 0 leads without an
-    election, since every node knows the ids: F comes straight to it, and
-    it tells every other node in one round whether it joins the cover.
+    Node 0 leads, as every node knows its id.  The edges touching U, F,
+    go up as items (`_f_items` says which endpoint reports each), and
+    under weights each node of U reports its own weight; the leader
+    rebuilds H from what it gathers alone, covers it with solve(H) and
+    tells each node of U its verdict; the nodes of S know they are in.  F
+    goes up two items to a message, and each edge toward the leader ends
+    with a done marker.  Under CONGEST one BFS wave from node 0 builds the
+    tree that carries F up, each relay records which child delivered each
+    node's messages, and the leader sends each U-node its (id, in_cover)
+    verdict only down the path to it, `bandwidth_words // 2` verdicts to a
+    message.  Under CLIQUE, F comes straight to node 0, and it tells every
+    other node in one round whether it joins the cover.
 
     Adds Phase II's costs to the first phase's `stats` and returns
     (solution S | cover, stats).
     """
     U = set(range(g.n)) - S
+    weighted = g.weights is not None  # which algorithm runs, known to all
     clique = model.variant == CLIQUE
     if clique:
-        tree = (0, {})
+        tree = (0, None, None)
     else:
-        leader, parent, _, st = elect_leader_bfs(g, model)
+        leader, parent, _, children, st = elect_leader_bfs(g, model)
         stats.add(st)
-        tree = (leader, parent)
-    items = [pack(its, 3, model) for its in _f_items(g, U)]
-    gathered, st = pipelined_convergecast(g, tree, items, model)
+        tree = (leader, parent, children)
+    messages = _phase2_messages(g, U, model)
+    gathered, routes, st = pipelined_convergecast(g, tree, messages, model)
     stats.add(st)
-    cover = set(solve(_decode_f(gathered, g.n, g.weights)))
+    H, U_seen = _decode_f(gathered, g.n, weighted)
+    cover = set(solve(H))
     if clique:  # node 0 leads and keeps its own verdict
         heard, st = scatter(g, 0, [int(v in cover) for v in range(g.n)], model)
         cover = {v for v, word in enumerate(heard) if word} | (cover & {0})
     else:
-        payload = pack([(v,) for v in sorted(cover)], 1, model)
-        heard, st = pipelined_broadcast(g, tree, payload, model)
-        cover = {v for v in range(g.n) if (v,) in unpack(heard[v], 1)}
+        verdicts = [(u, int(u in cover)) for u in sorted(U_seen)]
+        heard, st = pipelined_broadcast(g, (tree[0], routes), verdicts, model)
+        cover = {v for v, its in enumerate(heard) for (_, bit) in its if bit}
     stats.add(st)
     return make_solution(g, VC2, S | cover), stats
 

@@ -1,8 +1,10 @@
 """Reusable distributed building blocks: streams of messages to the
-neighbors, leader election / BFS tree, pipelined convergecast toward the
-root and broadcast from it, both by one relay program, a one-round
+neighbors, a BFS tree grown by one wave from node 0, pipelined
+convergecast toward its root that records the route back to each origin,
+routed downcast of addressed items along those routes, a one-round
 scatter from the root under CLIQUE, and packing items to the bandwidth."""
 
+from collections import deque
 from itertools import chain
 
 from .errors import ConnectivityError, EncodingError, InputError
@@ -46,119 +48,192 @@ def exchange(g, msgs, model):
     return [{s: ms[0] for s, ms in h.items()} for h in heard], stats
 
 
-class _BfsFloodProgram(NodeProgram):
-    """Min-id flood; every node learns the leader, its BFS parent and depth."""
+class _WaveProgram(NodeProgram):
+    """One BFS wave from node 0.  A node joins under the lowest-id sender
+    of the first wave it hears and tells every neighbor, once, its depth
+    and its parent; node 0 names itself.  A neighbor that names this node
+    is its child.  The output is (parent, depth, children)."""
 
     def __init__(self, ctx):
         super().__init__(ctx)
-        self.output = (ctx.node, None, 0)  # (leader, parent, depth)
-        self.dirty = True  # something new to announce
+        self.output = (None, None, [])
 
     def step(self, r, inbox):
-        best, _, depth = self.output
-        for sender, (leader, d) in inbox.items():
-            if leader < best or (leader == best and d + 1 < depth):
-                best, depth = leader, d + 1
-                self.output = (best, sender, depth)
-                self.dirty = True
-        if not self.dirty:
+        parent, depth, children = self.output
+        me = self.ctx.node
+        children += [s for s, (_, p) in inbox.items() if p == me]
+        if depth is not None or not (inbox or me == 0):
             return {}
-        self.dirty = False
-        msg = (best, depth)
+        if inbox:
+            parent = next(iter(inbox))
+            depth = inbox[parent][0] + 1
+        else:
+            depth = 0
+        self.output = (parent, depth, children)
+        msg = (depth, me if parent is None else parent)
         return dict.fromkeys(self.ctx.neighbors, msg)
 
 
 def elect_leader_bfs(g, model=None):
-    """Return (leader id, parent map, depth map, RoundStats).
+    """Return (leader, parent map, depth map, children lists, RoundStats).
 
-    Leader is the minimum id; the tree is the BFS tree grown by flooding.
+    The leader is node 0, with no election: node ids are exactly 0..n-1
+    and every node knows n, from which word sizes follow, so every node
+    knows node 0 is there; CLIQUE Phase II picks node 0 the same way.  One
+    BFS wave from it builds the tree in depth + 1 rounds with 2|E|
+    messages, and each node learns its children from the parents its
+    neighbors name.  A node the wave never reaches means g is not
+    connected.
     """
-    if not g.is_connected():
-        raise ConnectivityError("leader election requires a connected graph")
     if model is None:
         model = Model(CONGEST)
-    outputs, stats = run(g, _BfsFloodProgram, model)
-    leaders = {o[0] for o in outputs}
-    if leaders != {0} and g.n > 0:
-        raise ConnectivityError("flood did not converge to a single leader")
-    parent = {v: outputs[v][1] for v in range(g.n)}
-    depth = {v: outputs[v][2] for v in range(g.n)}
+    outputs, stats = run(g, _WaveProgram, model)
+    if any(depth is None for _, depth, _ in outputs):
+        raise ConnectivityError("the BFS wave from node 0 did not reach every node")
+    parent = {v: o[0] for v, o in enumerate(outputs)}
+    depth = {v: o[1] for v, o in enumerate(outputs)}
     leader = 0 if g.n else None
-    return leader, parent, depth, stats
+    return leader, parent, depth, [o[2] for o in outputs], stats
 
 
-class _PipeProgram(NodeProgram):
-    """Ship one message per sweep to every node in `dests`: first the
-    node's own queue, then each message it receives.  A node wakes in the
-    next sweep while messages wait.  When `kept` is a list, the output is
-    that list with every received message appended."""
+class _GatherProgram(NodeProgram):
+    """Convergecast node: ship its own messages and then each one it
+    receives, one per sweep, to `up`.  Once every node in `below` has
+    ended its edge and the queue is down to its last message, end its own
+    edge: head that message with the root's id, a word no other message
+    starts with, or send the id alone if the message is full or there is
+    none.  The root, with `up` None, keeps what arrives.  Each node
+    records which neighbor delivered the messages of each origin, their
+    first word.  The output is (messages kept, {origin: neighbor})."""
 
-    def __init__(self, ctx, dests, queue, kept=None):
+    def __init__(self, ctx, up, below, queue, root):
         super().__init__(ctx)
-        self.dests = dests
-        self.queue = list(queue)
-        self.output = kept
+        self.up, self.waiting, self.root = up, set(below), root
+        self.bandwidth = ctx.model.bandwidth_words
+        self.queue = deque(() if up is None else queue)
+        self.ended = up is None
+        self.output = (list(queue) if up is None else None, {})
 
     def step(self, r, inbox):
-        for msg in inbox.values():
-            if self.output is not None:
-                self.output.append(msg)
-            if self.dests:
-                self.queue.append(msg)
-        if self.queue and self.dests:
-            msg = self.queue.pop(0)
-            self.wake_at = r + 1 if self.queue else None
-            return dict.fromkeys(self.dests, msg)
-        return {}
+        kept, routes = self.output
+        for s, msg in inbox.items():
+            if msg[0] == self.root:
+                self.waiting.discard(s)
+                msg = msg[1:]
+                if not msg:
+                    continue
+            routes.setdefault(msg[0], s)
+            (self.queue if kept is None else kept).append(msg)
+        if self.ended or self.waiting and not self.queue:
+            self.wake_at = None
+            return {}
+        msg = self.queue.popleft() if self.queue else ()
+        if not (self.waiting or self.queue or msg and len(msg) == self.bandwidth):
+            msg, self.ended = (self.root,) + msg, True
+        idle = self.ended or self.waiting and not self.queue
+        self.wake_at = None if idle else r + 1
+        return {self.up: msg}
 
 
 def pipelined_convergecast(g, tree, items, model):
-    """Gather every node's items at the tree root: along tree edges under
-    CONGEST, straight to the root under CLIQUE.
+    """Gather every node's messages at the tree root: along tree edges
+    under CONGEST, straight to the root under CLIQUE.
 
-    tree: (root, parent map); items: per-node list of word tuples.
-    Returns (sorted item list at root, RoundStats).
+    tree: (root, parent map, children lists) as elect_leader_bfs returns
+    them; under CLIQUE only the root is read.  items: per-node list of
+    messages, each starting with its node's id.  Each edge toward the
+    root ends with a done marker, the root's id, in the free word of its
+    last message or alone, so the root knows when it has everything.
+    Returns (sorted messages at the root, per-node {origin: neighbor that
+    delivered the origin's messages}, RoundStats).
     """
-    root, parent = tree
+    root = tree[0]
+    clique = model.variant == CLIQUE
     for v, its in enumerate(items):
-        for item in its:
-            if len(item) > model.bandwidth_words:
+        for msg in its:
+            if len(msg) > model.bandwidth_words:
                 raise EncodingError(
-                    f"item of {len(item)} words exceeds bandwidth at node {v}"
+                    f"item of {len(msg)} words exceeds bandwidth at node {v}"
                 )
+            if not msg or msg[0] != v:
+                raise InputError(f"a message of node {v} must start with its id")
 
     def factory(ctx):
         v = ctx.node
         if v == root:
-            return _PipeProgram(ctx, (), (), kept=list(items[v]))
-        p = root if model.variant == CLIQUE else parent.get(v)
-        if p is None:
+            below = [u for u in range(g.n) if u != v] if clique else tree[2][v]
+            return _GatherProgram(ctx, None, below, items[v], root)
+        up = root if clique else tree[1].get(v)
+        if up is None:
             raise InputError(f"node {v} has no parent in the tree")
-        return _PipeProgram(ctx, (p,), items[v])
+        return _GatherProgram(ctx, up, () if clique else tree[2][v], items[v], root)
 
     outputs, stats = run(g, factory, model)
-    return (sorted(outputs[root]) if g.n else []), stats
+    gathered = sorted(outputs[root][0]) if g.n else []
+    return gathered, [o[1] for o in outputs], stats
+
+
+class _RouteProgram(NodeProgram):
+    """Downcast node: keep the items addressed to it and queue every other
+    item for the neighbor that `routes` names for its address; each sweep,
+    send each such neighbor as many queued items as a message holds.  The
+    output is the list of items kept."""
+
+    def __init__(self, ctx, routes, width, items):
+        super().__init__(ctx)
+        self.routes, self.width = routes, width
+        self.per = ctx.model.bandwidth_words // width
+        self.queues = {}
+        self.output = []
+        self._file(items)
+
+    def _file(self, items):
+        for item in items:
+            dest = item[0]
+            if dest == self.ctx.node:
+                self.output.append(item)
+            elif dest in self.routes:
+                self.queues.setdefault(self.routes[dest], deque()).append(item)
+            else:
+                raise InputError(f"node {self.ctx.node} has no route to {dest}")
+
+    def step(self, r, inbox):
+        for msg in inbox.values():
+            self._file(unpack([msg], self.width))
+        outbox = {}
+        for nxt, q in self.queues.items():
+            batch = [q.popleft() for _ in range(min(self.per, len(q)))]
+            outbox[nxt] = tuple(chain.from_iterable(batch))
+        self.queues = {nxt: q for nxt, q in self.queues.items() if q}
+        self.wake_at = r + 1 if self.queues else None
+        return outbox
 
 
 def pipelined_broadcast(g, tree, payload, model):
-    """Deliver `payload` (list of word tuples) from the root to every node.
-    The first message announces how many items follow."""
-    root, parent = tree
-    children = {v: [] for v in range(g.n)}
-    for v, p in parent.items():
-        if p is not None:
-            children[p].append(v)
-    for c in children.values():
-        c.sort()
-    sent = [(len(payload),)] + [tuple(p) for p in payload]
+    """Deliver addressed items from the root, each only down the path to
+    the node it is for; the name is older than the routing.
+
+    tree: (root, per-node {origin: neighbor}) as pipelined_convergecast
+    records them, so an item can be for any node whose messages came up.
+    payload: items of one width, each starting with the id of its node.
+    Every edge carries as many items to a message as the bandwidth holds.
+    A node off every item's path receives nothing, and no end marker is
+    sent: a node knows how many items are for it.
+    Returns (per-node sorted items kept, RoundStats).
+    """
+    root, routes = tree
+    width = len(payload[0]) if payload else 1
+    if any(len(item) != width for item in payload):
+        raise InputError("addressed items must have one width")
+    if width > model.bandwidth_words:
+        raise EncodingError(f"item of {width} words exceeds bandwidth")
 
     def factory(ctx):
-        if ctx.node == root:
-            return _PipeProgram(ctx, children[root], sent, kept=list(sent))
-        return _PipeProgram(ctx, children[ctx.node], (), kept=[])
+        v = ctx.node
+        return _RouteProgram(ctx, routes[v], width, payload if v == root else ())
 
     outputs, stats = run(g, factory, model)
-    return [sorted(o[1:]) for o in outputs], stats
+    return [sorted(o) for o in outputs], stats
 
 
 def pack(items, width, model):

@@ -176,6 +176,37 @@ def sampled_2hop_estimates(g, U, r, seed):
     return out
 
 
+def min_id_flood(g, model):
+    """Reference for `protocols.elect_leader_bfs`: the min-id flood it
+    replaced.  Every node floods the least id it has heard with its hop
+    count, and takes as parent a sender that offers a smaller id, or the
+    same id nearer; inboxes are read in ascending sender order.  Returns
+    (leader per node, parent map, depth map, RoundStats)."""
+    from powergraph.sim import NodeProgram, run
+
+    class BfsFloodProgram(NodeProgram):
+        def __init__(self, ctx):
+            super().__init__(ctx)
+            self.output = (ctx.node, None, 0)  # (leader, parent, depth)
+            self.dirty = True  # something new to announce
+
+        def step(self, r, inbox):
+            best, _, depth = self.output
+            for sender, (leader, d) in inbox.items():
+                if leader < best or (leader == best and d + 1 < depth):
+                    best, depth = leader, d + 1
+                    self.output = (best, sender, depth)
+                    self.dirty = True
+            if not self.dirty:
+                return {}
+            self.dirty = False
+            return dict.fromkeys(self.ctx.neighbors, (best, depth))
+
+    outputs, stats = run(g, BfsFloodProgram, model)
+    return ([o[0] for o in outputs], {v: o[1] for v, o in enumerate(outputs)},
+            {v: o[2] for v, o in enumerate(outputs)}, stats)
+
+
 def fold_by_zip(msgs, best=None):
     """Reference for `_SampleMinProgram._fold`: the per-sample minimum of
     the (hi, lo) word pairs of msgs and the running best, read with

@@ -508,12 +508,107 @@ class TestLeaderPhase2:
         h_edges = [(a, b) for (a, b) in square(g).edges() if a in U and b in U]
         assert cover <= U and all(a in cover or b in cover for a, b in h_edges)
         assert len(cover) == brute_min_vc(g.n, h_edges)
-        assert [len(its) for its in mvc_distributed._f_items(g, U)] == counts
-        # items stream straight to node 0, two to a message, then one
-        # verdict word per node
+        items = mvc_distributed._f_items(g, U, Model(CLIQUE))
+        assert [len(its) for its in items] == counts
+        # items stream straight to node 0, two to a message; a node ends
+        # its edge with a done marker in its last message's free word, or
+        # alone in round 1 if it has no item; then one verdict word per node
         packed = [(c + 1) // 2 for c in counts]
+        alone = packed[1:].count(0)
         assert stats.rounds == max(packed) + 1
-        assert stats.messages == sum(packed) + g.n - 1
+        assert stats.messages == sum(packed) + alone + g.n - 1
+
+
+    @pytest.mark.parametrize("variant,downcast", [
+        (CONGEST, "pipelined_broadcast"), (CLIQUE, "scatter")])
+    def test_leader_reads_weights_only_from_the_gathered_items(
+            self, monkeypatch, variant, downcast):
+        # g's weights are gone from the gather until the downcast, so the
+        # leader's H can weigh U only by the announcements it gathered
+        rng = random.Random(90)
+        g = Graph(40, sparse_connected(40, 4, rng), weights={
+            v: Fraction(rng.randint(1, 16), rng.randint(1, 3)) for v in range(40)})
+        weights = g.weights
+        S, _ = weighted_phase1(g, Fraction(1, 2))
+        gather = mvc_distributed.pipelined_convergecast
+        send = getattr(mvc_distributed, downcast)
+
+        def gather_then_forget(*args):
+            out = gather(*args)
+            g.weights = None
+            return out
+
+        def restore_then_send(*args):
+            g.weights = weights
+            return send(*args)
+
+        seen = []
+
+        def solve(H):
+            seen.append(H.weights)
+            return exact_mvc(H).members
+
+        monkeypatch.setattr(
+            mvc_distributed, "pipelined_convergecast", gather_then_forget)
+        monkeypatch.setattr(mvc_distributed, downcast, restore_then_send)
+        sol, _ = leader_phase2(g, S, Model(variant), solve, RoundStats())
+        assert seen == [{v: 0 if v in S else weights[v] for v in range(g.n)}]
+        assert S < sol.members
+        assert sol.members == g2mwvc_eps(g, Fraction(1, 2), Model(variant))[0].members
+
+    def test_each_u_node_hears_exactly_its_own_verdict(self, monkeypatch):
+        g = Graph(60, sparse_connected(60, 3, random.Random(61)))
+        S, _, _ = phase1_unweighted(g, Fraction(1, 2))
+        U = set(range(g.n)) - S
+        downcasts = _record(monkeypatch, "pipelined_broadcast")
+        sol, _ = leader_phase2(g, S, Model(CONGEST), mvc_distributed._solve_exact,
+                               RoundStats())
+        (heard, _), = downcasts
+        assert S < sol.members
+        assert heard == [[(v, int(v in sol.members))] if v in U else []
+                         for v in range(g.n)]
+
+    def test_three_thousand_vertices_route_their_verdicts(self, monkeypatch):
+        _check_routed_downcast(
+            monkeypatch, 3000, lambda U, depth: 2 * len(U) * (depth + 1))
+
+
+@pytest.mark.slow
+def test_ten_thousand_vertices_route_their_verdicts(monkeypatch):
+    _check_routed_downcast(monkeypatch, 10_000, lambda U, depth: 20_000)
+
+
+def _record(monkeypatch, name):
+    """Record what each call of mvc_distributed's `name` returns."""
+    results = []
+    fn = getattr(mvc_distributed, name)
+
+    def recorded(*args):
+        results.append(fn(*args))
+        return results[-1]
+
+    monkeypatch.setattr(mvc_distributed, name, recorded)
+    return results
+
+
+def _check_routed_downcast(monkeypatch, n, bound):
+    # g2mvc_eps keeps the cover that S and an exact cover of H = G^2[U]
+    # give, and its verdicts travel only to U, in fewer messages than
+    # bound(U, tree depth)
+    g = Graph(n, sparse_connected(n, 3, random.Random(n)))
+    eps = Fraction(1, 2)
+    S, _, _ = phase1_unweighted(g, eps)
+    U = set(range(g.n)) - S
+    sq = square(g)
+    H = Graph(g.n, [(a, b) for a in U for b in sq.adj[a] if a < b and b in U])
+    trees = _record(monkeypatch, "elect_leader_bfs")
+    downcasts = _record(monkeypatch, "pipelined_broadcast")
+    sol, _ = g2mvc_eps(g, eps)
+    assert sol.members == S | exact_mvc(H).members
+    (_, _, depth, _, _), = trees
+    (heard, stats), = downcasts
+    assert sum(map(len, heard)) == len(U)
+    assert stats.messages < bound(U, max(depth.values()))
 
 
 class TestCliqueVoting:

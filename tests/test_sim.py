@@ -42,7 +42,7 @@ from powergraph.sim import (
     word_bits,
 )
 
-from oracles import dense_run, sparse_connected
+from oracles import dense_run, min_id_flood, sparse_connected
 from test_graph import complete, path, star
 
 
@@ -367,7 +367,10 @@ class TestSleepingIsSound:
         cfg = EstimateConfig(samples=samples, exact_threshold=1 if sampled else None)
         U = set(range(0, g.n, 2))
         est_model = Model(variant, bandwidth_words=bandwidth)
-        tree = elect_leader_bfs(g, model)[:2]
+        leader, parent, _, children, _ = elect_leader_bfs(g, model)
+        tree = (leader, parent, children)
+        sent = [[(v,)] for v in range(g.n)]
+        _, routes, _ = pipelined_convergecast(g, tree, sent, model)
         calls = [
             lambda: phase1_unweighted(g, Fraction(1, 2), model),
             lambda: weighted_phase1(gw, Fraction(1, 2), model),
@@ -375,7 +378,10 @@ class TestSleepingIsSound:
             lambda: g2mds_logd(g, seed=seed, cfg=cfg, model=model),
             lambda: g2mvc_eps(g, Fraction(1, 2), model, seed=seed),
             lambda: g2mwvc_eps(gw, Fraction(1, 2), model, seed=seed),
-            lambda: pipelined_broadcast(g, tree, [(v,) for v in range(g.n)], model),
+            lambda: elect_leader_bfs(g, model),
+            lambda: pipelined_convergecast(g, tree, sent, model),
+            lambda: pipelined_broadcast(
+                g, (leader, routes), [(v, v % 2) for v in range(g.n)], model),
         ]
         if variant == CLIQUE:
             calls.append(
@@ -441,70 +447,120 @@ class TestExchange:
 
 class TestLeaderBfs:
     def test_p3(self):
-        leader, parent, depth, stats = elect_leader_bfs(path(3))
+        leader, parent, depth, _, stats = elect_leader_bfs(path(3))
         assert leader == 0
         assert depth == {0: 0, 1: 1, 2: 2}
         assert parent[2] == 1
 
     def test_k4(self):
-        leader, parent, depth, _ = elect_leader_bfs(complete(4))
+        leader, parent, depth, _, _ = elect_leader_bfs(complete(4))
         assert leader == 0
         assert all(depth[v] <= 1 for v in range(4))
 
     def test_star_with_center_highest_id(self):
         # center id 5, leaves 0..4
         g = Graph(6, [(5, i) for i in range(5)])
-        leader, parent, depth, _ = elect_leader_bfs(g)
+        leader, parent, depth, _, _ = elect_leader_bfs(g)
         assert leader == 0
         assert depth[5] == 1
         assert all(depth[v] == 2 for v in range(1, 5))
 
     def test_rounds_close_to_diameter(self):
         g = path(12)
-        _, _, _, stats = elect_leader_bfs(g)
+        *_, stats = elect_leader_bfs(g)
         assert stats.rounds <= 11 + 2
 
     def test_disconnected_rejected(self):
         with pytest.raises(ConnectivityError):
             elect_leader_bfs(Graph(4, [(0, 1), (2, 3)]))
 
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(graphs=small_connected_graphs(), variant=st.sampled_from([CONGEST, CLIQUE]))
+    def test_wave_builds_the_min_id_flood_tree(self, graphs, variant):
+        # the flood of id 0 overtakes every other id and reaches each node
+        # first along a shortest path, from its lowest-id neighbor one hop
+        # nearer: the wave's tree, in as many rounds, with 2|E| messages
+        g, _ = graphs
+        model = Model(variant)
+        leader, parent, depth, children, stats = elect_leader_bfs(g, model)
+        leaders, want_parent, want_depth, flood = min_id_flood(g, model)
+        assert leader == 0 and set(leaders) == {0}
+        assert (parent, depth, stats.rounds) == (want_parent, want_depth, flood.rounds)
+        assert stats.messages == 2 * g.m <= flood.messages
+        assert children == [[u for u in g.adj[v] if parent[u] == v] for v in range(g.n)]
+
+    def test_wave_on_larger_sparse_graphs(self):
+        rng = random.Random(27)
+        for n in (50, 300, 1000):
+            g = Graph(n, sparse_connected(n, 3, rng))
+            _, parent, depth, _, stats = elect_leader_bfs(g)
+            _, want_parent, want_depth, flood = min_id_flood(g, Model(CONGEST))
+            assert (parent, depth) == (want_parent, want_depth)
+            assert stats.rounds == flood.rounds
+            assert stats.messages == 2 * g.m < flood.messages
+
 
 class TestConvergecast:
     def bfs_tree(self, g):
-        leader, parent, depth, _ = elect_leader_bfs(g)
-        return (leader, parent)
+        leader, parent, _, children, _ = elect_leader_bfs(g)
+        return (leader, parent, children)
 
     def test_p3_one_item_each(self):
         g = path(3)
         items = [[(v,)] for v in range(3)]
-        got, stats = pipelined_convergecast(g, self.bfs_tree(g), items, Model(CONGEST))
+        got, _, stats = pipelined_convergecast(
+            g, self.bfs_tree(g), items, Model(CONGEST))
         assert got == [(0,), (1,), (2,)]
 
     def test_star_two_items_per_leaf(self):
         g = star(8)
         items = [[]] + [[(v,), (v,)] for v in range(1, 8)]
-        got, stats = pipelined_convergecast(g, self.bfs_tree(g), items, Model(CONGEST))
+        got, _, stats = pipelined_convergecast(
+            g, self.bfs_tree(g), items, Model(CONGEST))
         assert len(got) == 14
         assert stats.rounds <= 2 * g.n
 
     def test_clique_rounds_equal_max_items(self):
         g = complete(5)
         items = [[(v,), (v,), (v,)] if v else [] for v in range(5)]
-        got, stats = pipelined_convergecast(g, (0, {}), items, Model(CLIQUE))
+        got, _, stats = pipelined_convergecast(g, (0, {}), items, Model(CLIQUE))
         assert stats.rounds == 3
         assert len(got) == 12
 
     def test_empty_graph_gathers_nothing(self):
-        got, stats = pipelined_convergecast(Graph(0, []), (None, {}), [], Model(CONGEST))
+        got, _, stats = pipelined_convergecast(
+            Graph(0, []), (None, {}), [], Model(CONGEST))
         assert got == [] and stats.rounds == 0
 
     def test_cost_on_a_path(self):
-        # the node at depth d ships its 2 items over d hops, one per round
+        # the node at depth d ships its 2 items over d hops, one per round:
+        # 2 * (1 + 2 + 3 + 4) = 20 messages, the last reaching node 0 in
+        # round 8.  Each edge's done marker rides in its last message, so
+        # it adds no message and no round, only a third word to that
+        # message: 3 words of 3 bits.
         g = path(5)
         items = [[(v,), (v, 1)] for v in range(5)]
-        got, stats = pipelined_convergecast(g, self.bfs_tree(g), items, Model(CONGEST))
+        got, routes, stats = pipelined_convergecast(
+            g, self.bfs_tree(g), items, Model(CONGEST))
         assert got == sorted(x for its in items for x in its)
-        assert (stats.rounds, stats.messages) == (8, 20)
+        assert (stats.rounds, stats.messages, stats.max_message_bits) == (8, 20, 9)
+        assert routes == [{1: 1, 2: 1, 3: 1, 4: 1}, {2: 2, 3: 2, 4: 2},
+                          {3: 3, 4: 3}, {4: 4}, {}]
+
+    def test_done_marker_travels_alone_when_the_last_message_is_full(self):
+        # node 2 ends with a full message, so its marker follows in round
+        # 2, and node 1 can end its edge only in round 3
+        g = path(3)
+        items = [[], [], [(2, 0)]]
+        narrow = Model(CONGEST, bandwidth_words=2)
+        got, _, stats = pipelined_convergecast(g, self.bfs_tree(g), items, narrow)
+        assert got == [(2, 0)]
+        assert (stats.rounds, stats.messages) == (3, 4)
+
+    def test_message_not_starting_with_its_node_rejected(self):
+        g = path(2)
+        with pytest.raises(InputError):
+            pipelined_convergecast(g, self.bfs_tree(g), [[], [(0,)]], Model(CONGEST))
 
     def test_oversize_item_rejected(self):
         g = path(2)
@@ -514,23 +570,64 @@ class TestConvergecast:
 
 
 class TestBroadcast:
+    # 0 - 1 - 2 and 0 - 3 - 4: every node sends its id up once
+    G = Graph(5, [(0, 1), (1, 2), (0, 3), (3, 4)])
+
+    def routes(self, g):
+        leader, parent, _, children, _ = elect_leader_bfs(g)
+        items = [[(v,)] for v in range(g.n)]
+        _, routes, _ = pipelined_convergecast(
+            g, (leader, parent, children), items, Model(CONGEST))
+        return leader, routes
+
+    def test_items_go_only_down_their_path(self, monkeypatch):
+        g = self.G
+        heard = set()
+
+        def recording_run(g, factory, model):
+            def wrapped(ctx):
+                prog = factory(ctx)
+                step = prog.step
+
+                def recorded(r, inbox):
+                    if inbox:
+                        heard.add(ctx.node)
+                    return step(r, inbox)
+
+                prog.step = recorded
+                return prog
+            return run(g, wrapped, model)
+
+        tree = self.routes(g)
+        monkeypatch.setattr(protocols, "run", recording_run)
+        outputs, stats = pipelined_broadcast(g, tree, [(2, 1), (1, 0)], Model(CONGEST))
+        assert outputs == [[], [(1, 0)], [(2, 1)], [], []]
+        # both items share the message on edge 0-1; nodes 3 and 4 are off
+        # every item's path and hear nothing
+        assert heard == {1, 2}
+        assert (stats.rounds, stats.messages, stats.max_message_bits) == (2, 2, 12)
+
     def test_everyone_gets_payload(self):
+        # one item for each node, packed to the bandwidth
         g = path(5)
-        leader, parent, depth, _ = elect_leader_bfs(g)
-        payload = [(3,), (1, 4)]
-        outputs, stats = pipelined_broadcast(g, (leader, parent), payload, Model(CONGEST))
-        for v in range(5):
-            assert outputs[v] == [(1, 4), (3,)]
-        # the count header and both items cross each of the 4 tree edges
-        assert (stats.rounds, stats.messages, stats.max_message_bits) == (6, 12, 6)
+        tree = self.routes(g)
+        payload = [(v, 1) for v in range(5)]
+        outputs, stats = pipelined_broadcast(g, tree, payload, Model(CONGEST))
+        assert outputs == [[(v, 1)] for v in range(5)]
+        # 4, 3, 2 and 1 items cross the four edges, one message each: the
+        # first holds four items of 2 words of 3 bits
+        assert (stats.rounds, stats.messages, stats.max_message_bits) == (4, 4, 24)
 
     def test_empty_payload(self):
-        g = path(5)
-        leader, parent, depth, _ = elect_leader_bfs(g)
-        outputs, stats = pipelined_broadcast(g, (leader, parent), [], Model(CONGEST))
+        g = self.G
+        outputs, stats = pipelined_broadcast(g, self.routes(g), [], Model(CONGEST))
         assert outputs == [[]] * 5
-        # the count header still crosses every tree edge
-        assert (stats.rounds, stats.messages) == (4, 4)
+        assert (stats.rounds, stats.messages) == (0, 0)
+
+    def test_item_without_route_rejected(self):
+        g = path(3)
+        with pytest.raises(InputError):
+            pipelined_broadcast(g, (0, [{}, {}, {}]), [(2, 1)], Model(CONGEST))
 
 
 class TestScatter:
@@ -563,7 +660,7 @@ class TestPack:
         g = Graph(60, sparse_connected(60, 3, random.Random(5)))
         narrow = Model(CONGEST, bandwidth_words=3)
         S, _, _ = phase1_unweighted(g, Fraction(1, 2))
-        items = mvc_distributed._f_items(g, set(range(g.n)) - S)
+        items = mvc_distributed._f_items(g, set(range(g.n)) - S, narrow)
         assert any(items)
         assert [pack(its, 3, narrow) for its in items] == items
         sol, stats = g2mvc_eps(g, Fraction(1, 2), narrow)
