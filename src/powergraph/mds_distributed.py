@@ -8,14 +8,13 @@ vote for their best candidate.  Candidates that attract at least an eighth
 of their estimated coverage join the dominating set.
 
 Cardinality estimation follows the minimum-of-exponentials scheme: every
-uncovered vertex draws r exponential samples, a chunk at a time as the
-bandwidth allows, and two relay-min rounds per chunk spread the per-sample
-minima over the 2-hop neighborhood.  The minima are folded in word form,
-as they arrive, by one loop over each message's (hi, lo) word pairs into
-a list copy of the running best, and each vertex keeps only their
-running sum: r divided by that sum estimates the count.  Low-degree
-neighborhoods skip the sampling entirely and count exactly from
-explicitly forwarded edges.
+uncovered vertex draws r exponential samples, and two relay-min rounds per
+chunk of samples that a message holds spread the per-sample minima over
+the 2-hop neighborhood; one engine run carries up to 32 chunks in wide
+messages, each chunk charged as if sent alone.  The minima are folded in
+word form by one loop over each message's (hi, lo) word pairs, and each
+vertex keeps their sum: r divided by it estimates the count.  Low-degree
+neighborhoods skip the sampling and count exactly from forwarded edges.
 """
 
 import math
@@ -25,7 +24,8 @@ from .errors import InputError, RoundCapError
 from .graph import DS2, make_solution
 from .protocols import exchange, stream
 from .sim import (
-    CONGEST, Model, NodeProgram, RoundStats, node_rng, run, to_words, word_bits,
+    CONGEST, Model, NodeProgram, RoundStats, default_round_cap, node_rng, run,
+    to_words, word_bits,
 )
 
 
@@ -73,28 +73,23 @@ class EstimateConfig:
 # estimation
 # ---------------------------------------------------------------------------
 
+_CHUNKS_PER_RUN = 32  # per sampled-stage run: bounds its memory, not its charge
+
+
 class _SampleMinProgram(NodeProgram):
-    """Two relay-min sweeps per chunk of fixed-point samples, folded in
-    word form.  A sample travels as two words, most significant first, so
-    the least (hi, lo) pair is the least sample: each step copies the
-    running best (or one message) into a list, loops over every other
-    message's word pairs, replaces pair j where the message's is smaller
-    (a smaller hi, or an equal hi and a smaller lo), and rebroadcasts the
-    result as a tuple, without decoding a sample.  A node in U draws
-    a chunk's samples from its own stream when the chunk starts.  A node
-    with nothing to report for a chunk stays silent; its output is the sum
-    of all per-sample minima, or None if some chunk had no sample-holder
-    within two hops.  A node wakes at every chunk boundary, and in between
-    only while it holds a running minimum to rebroadcast."""
+    """A three-sweep relay-min of fixed-point samples: U draws and sends,
+    every node holding samples folds and relays them, and every node then
+    outputs the sum of its per-sample minima, or None with no sample-holder
+    within two hops.  A sample is two words, most significant first, so the
+    least (hi, lo) pair is the least sample: a fold copies the running best
+    (or one message) into a list and keeps each smaller pair, undecoded."""
 
     def __init__(self, ctx, rng, samples, frac_bits):
         super().__init__(ctx)
         self.rng = rng  # this node's sample stream, or None if not in U
-        self.left = samples  # samples in the chunks still to come
-        self.per_chunk = ctx.model.bandwidth_words // 2
+        self.samples = samples
         self.frac_bits = frac_bits
         self.best = None  # running per-sample minima as words, or None
-        self.hi = self.lo = 0  # summed high and low words; hi None if missing
 
     def _fold(self, inbox):
         msgs = list(inbox.values())
@@ -113,32 +108,20 @@ class _SampleMinProgram(NodeProgram):
         return tuple(best)
 
     def step(self, r, inbox):
-        if r % 2:  # fold neighbor draws, rebroadcast the running minimum
+        bits = self.ctx.word_bits
+        if r:
             self.best = self._fold(inbox)
-            self.wake_at = r + 1
-            if self.best is None:
-                return {}
-            return dict.fromkeys(self.ctx.neighbors, self.best)
-        if r > 0:  # close out the previous chunk
-            best = self._fold(inbox)
-            if best is None:
-                self.hi = None
-            elif self.hi is not None:
-                self.hi += sum(best[::2])
-                self.lo += sum(best[1::2])
-        if not self.left:
+        elif self.rng is not None:
+            self.best = _draw_words(self.rng, self.samples, self.frac_bits, bits)
+        if r == 2:
             self.wake_at = None
-            if self.hi is not None:
-                self.output = (self.hi << self.ctx.word_bits) + self.lo
+            if self.best is not None:
+                self.output = (sum(self.best[::2]) << bits) + sum(self.best[1::2])
             return {}
-        count = min(self.left, self.per_chunk)
-        self.left -= count
-        if self.rng is None:
-            self.best = None
-            self.wake_at = r + 2
+        if self.best is None:  # nothing to send: wait for the last sweep
+            self.wake_at = 2
             return {}
-        self.best = _draw_words(self.rng, count, self.frac_bits, self.ctx.word_bits)
-        self.wake_at = r + 1
+        self.wake_at = r + 1  # send the draws, then relay the minima
         return dict.fromkeys(self.ctx.neighbors, self.best)
 
 
@@ -159,10 +142,41 @@ def _draw_words(rng, count, frac_bits, bits):
     return tuple(words)
 
 
+def _sample_sums(g, U, r, frac_bits, seed, model):
+    """(sums of r per-sample minima, RoundStats), charged as documented in
+    estimate_2hop_counts; a sum is None with no U within two hops."""
+    per_chunk = model.bandwidth_words // 2
+    chunks = -(-r // per_chunk)
+    cap = default_round_cap(g.n)
+    if 2 * chunks >= cap:  # the chunked schedule's last sweep, 2C, would
+        raise RoundCapError(f"no termination within {cap} rounds")
+    rngs = {u: node_rng(seed, u, salt=0x5EED) for u in U}
+    sums = [0] * g.n
+    size = _CHUNKS_PER_RUN * per_chunk
+    for start in range(0, r, size):
+        count = min(size, r - start)
+        out, st = run(g, lambda ctx: _SampleMinProgram(
+            ctx, rngs.get(ctx.node), count, frac_bits),
+            Model(model.variant, bandwidth_words=2 * count))
+        sums = [None if a is None or b is None else a + b for a, b in zip(sums, out)]
+    bits = 2 * min(r, per_chunk) * word_bits(g.n) if st.messages else 0
+    return sums, RoundStats(2 * chunks + 1, chunks * st.messages, bits)
+
+
 def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
     """Estimate |N2[v] & U| for every v; returns (estimates, exact flags,
     RoundStats).  Vertices whose whole 1-hop neighborhood is low-degree
-    count exactly; the rest use minimum-of-exponentials sampling."""
+    count exactly; the rest use minimum-of-exponentials sampling.
+
+    Sampling is charged as its chunked schedule: B words hold k = B // 2
+    samples, and C = ceil(r / k) chunks take two relay-min rounds each,
+    plus one to fold the last, 2C + 1.  Who sends depends on G and U only,
+    never on the draws (U sends its draws, then every node in or next to U
+    relays minima), so every chunk sends one chunk's messages, C times that
+    in all, the longest 2 min(r, k) words.  So one run carries up to 32
+    independent chunks, each edge's messages joined into one, and each node
+    of U draws from one stream in chunk order, so the sums match too.  The
+    32-chunk cap bounds a run's memory, never the charge."""
     if cfg is None:
         cfg = EstimateConfig()
     if model is None:
@@ -213,12 +227,7 @@ def estimate_2hop_counts(g, U, cfg=None, seed=0, model=None):
 
     # stage 3: minimum-of-exponentials for the rest
     frac_bits = max(1, 2 * word_bits(n) - 5)  # 5 integer bits
-
-    def sample_factory(ctx):
-        rng = node_rng(seed, ctx.node, salt=0x5EED) if ctx.node in U else None
-        return _SampleMinProgram(ctx, rng, r, frac_bits)
-
-    sums, st = run(g, sample_factory, model)
+    sums, st = _sample_sums(g, U, r, frac_bits, seed, model)
     stats.add(st)
 
     for v in range(n):

@@ -234,6 +234,63 @@ def draw_words_by_divmod(rng, count, frac_bits, bits):
     return tuple(words)
 
 
+def chunked_sample_sums(g, U, r, frac_bits, seed, model):
+    """Reference for `mds_distributed._sample_sums`: the chunked sampled
+    stage it replaced, simulated as it is charged, in one engine run.  A
+    chunk holds bandwidth // 2 samples; when it starts, each node of U
+    draws it from its stream, by `draw_words_by_divmod`, and two relay-min
+    sweeps, folded by `fold_by_zip`, spread its per-sample minima two
+    hops.  A node wakes at every chunk boundary, and in between only while
+    it holds minima to relay.  Returns (sums, RoundStats): each node's sum
+    of all per-sample minima, or None if some chunk had no sample-holder
+    within two hops."""
+    from powergraph.sim import NodeProgram, node_rng, run
+
+    def from_pairs(words, bits):
+        return sum((hi << bits) + lo for hi, lo in zip(words[::2], words[1::2]))
+
+    class ChunkedSampleMin(NodeProgram):
+        def __init__(self, ctx, rng):
+            super().__init__(ctx)
+            self.rng = rng  # this node's sample stream, or None if not in U
+            self.left = r  # samples in the chunks still to come
+            self.per_chunk = ctx.model.bandwidth_words // 2
+            self.best = None  # running per-sample minima as words, or None
+            self.total = 0  # the sum so far, or None once a chunk had none
+
+        def step(self, sweep, inbox):
+            if sweep % 2:  # fold neighbor draws, rebroadcast the minima
+                self.best = fold_by_zip(inbox.values(), self.best)
+                self.wake_at = sweep + 1
+                if self.best is None:
+                    return {}
+                return dict.fromkeys(self.ctx.neighbors, self.best)
+            if sweep > 0:  # close out the previous chunk
+                best = fold_by_zip(inbox.values(), self.best)
+                if best is None:
+                    self.total = None
+                elif self.total is not None:
+                    self.total += from_pairs(best, self.ctx.word_bits)
+            if not self.left:
+                self.wake_at = None
+                self.output = self.total
+                return {}
+            count = min(self.left, self.per_chunk)
+            self.left -= count
+            if self.rng is None:
+                self.best = None
+                self.wake_at = sweep + 2
+                return {}
+            self.best = draw_words_by_divmod(
+                self.rng, count, frac_bits, self.ctx.word_bits)
+            self.wake_at = sweep + 1
+            return dict.fromkeys(self.ctx.neighbors, self.best)
+
+    return run(g, lambda ctx: ChunkedSampleMin(
+        ctx, node_rng(seed, ctx.node, salt=0x5EED) if ctx.node in U else None),
+        model)
+
+
 def weight_classes(g, c, restrict=None):
     """Return (w_star, {class index -> member list}) for center c.
 

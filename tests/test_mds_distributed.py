@@ -15,11 +15,14 @@ from powergraph.mds_distributed import (
     estimate_2hop_counts,
     g2mds_logd,
 )
-from powergraph.sim import CLIQUE, CONGEST, Model, NodeContext, NodeProgram
+from powergraph.sim import (
+    CLIQUE, CONGEST, Model, NodeContext, NodeProgram, word_bits,
+)
 
 from oracles import (
-    brute_min_ds, draw_words_by_divmod, fold_by_zip, random_connected_gnp,
-    sampled_2hop_estimates, sparse_connected,
+    brute_min_ds, chunked_sample_sums, draw_words_by_divmod, fold_by_zip,
+    random_connected_gnp, sampled_2hop_estimates, sparse_connected,
+    traced_peak,
 )
 from test_graph import cycle, path, star
 
@@ -178,6 +181,95 @@ class TestSampledAgainstOracle:
             est, exact, _ = estimate_2hop_counts(g, U, cfg, seed=i, model=model)
             assert not any(exact)
             assert est == sampled_2hop_estimates(g, U, samples, seed=i)
+
+
+def sample_stage(fn, g, U, r, seed, model):
+    """fn's sums and (rounds, messages, max_message_bits) for the sampled
+    stage, or the message of the RoundCapError it raised."""
+    frac_bits = max(1, 2 * word_bits(g.n) - 5)
+    try:
+        sums, stats = fn(g, U, r, frac_bits, seed, model)
+    except RoundCapError as e:
+        return str(e)
+    return sums, (stats.rounds, stats.messages, stats.max_message_bits)
+
+
+class TestSampledStageAgainstChunked:
+    """The sampled stage, run up to 32 chunks at a time and charged per
+    chunk, against the chunked schedule itself (tests/oracles)."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(variant=st.sampled_from([CONGEST, CLIQUE]),
+           bandwidth=st.sampled_from([2, 3, 8, 9]),
+           samples=st.sampled_from([1, 3, 7, 127, 128, 129, 300]),
+           kind=st.sampled_from(["hub", "sparse", "path"]),
+           n=st.integers(2, 14), graph_seed=st.integers(0, 2**16),
+           density=st.floats(0, 1))
+    def test_same_sums_and_cost(self, variant, bandwidth, samples, kind, n,
+                                graph_seed, density):
+        # 127-129 samples straddle one run of 32 four-sample chunks; at
+        # bandwidth 2 and 3 a run holds 32 samples.  Paths and sparse U
+        # leave nodes with no sample-holder within two hops.
+        rng = random.Random(graph_seed)
+        if kind == "hub":
+            g = hub_graph(max(n, 4), rng)
+        elif kind == "sparse":
+            g = Graph(max(n, 4), sparse_connected(max(n, 4), 2.5, rng))
+        else:
+            g = path(n)
+        n = g.n
+        U = {v for v in range(n) if rng.random() < density}
+        model = Model(variant, bandwidth_words=bandwidth)
+        got = sample_stage(
+            mds_distributed._sample_sums, g, U, samples, graph_seed, model)
+        assert got == sample_stage(
+            chunked_sample_sums, g, U, samples, graph_seed, model)
+
+    @pytest.mark.parametrize("variant", [CONGEST, CLIQUE])
+    @pytest.mark.parametrize("bandwidth", [2, 9])
+    @pytest.mark.parametrize("samples", [7, 129])
+    def test_nodes_beyond_two_hops_sum_none(self, variant, bandwidth, samples):
+        g = path(7)
+        model = Model(variant, bandwidth_words=bandwidth)
+        got = sample_stage(mds_distributed._sample_sums, g, {0}, samples, 4, model)
+        assert got == sample_stage(chunked_sample_sums, g, {0}, samples, 4, model)
+        sums, _ = got
+        assert all(x is not None for x in sums[:3]) and sums[3:] == [None] * 4
+
+    def test_empty_u_sends_nothing_for_every_chunk(self):
+        # no messages, so no message bits; still 2C + 1 rounds, C = 300 / 4
+        got = sample_stage(mds_distributed._sample_sums, path(5), set(), 300, 0,
+                           Model(CONGEST))
+        assert got == ([None] * 5, (151, 0, 0))
+        assert got == sample_stage(chunked_sample_sums, path(5), set(), 300, 0,
+                                   Model(CONGEST))
+
+    @pytest.mark.parametrize("cap", [14, 15])
+    def test_round_cap_as_for_the_chunked_run(self, monkeypatch, cap):
+        # 7 one-sample chunks: the chunked run's last sweep is sweep 14,
+        # which a cap of 14 sweeps forbids; each shorter run needs only 3
+        monkeypatch.setenv("POWERGRAPH_ROUND_CAP", str(cap))
+        model = Model(CONGEST, bandwidth_words=2)
+        got = sample_stage(mds_distributed._sample_sums, path(4), {0}, 7, 0, model)
+        assert got == sample_stage(chunked_sample_sums, path(4), {0}, 7, 0, model)
+        assert (got == "no termination within 14 rounds") == (cap == 14)
+
+    @pytest.mark.slow
+    def test_default_config_on_a_large_hub_graph(self):
+        rng = random.Random(300)
+        g = hub_graph(300, rng)
+        U = {v for v in range(300) if rng.random() < 0.5}
+        r, _ = EstimateConfig().resolve(300)
+        got = sample_stage(mds_distributed._sample_sums, g, U, r, 5, Model(CONGEST))
+        assert got == sample_stage(chunked_sample_sums, g, U, r, 5, Model(CONGEST))
+
+    def test_memory_is_bounded_by_the_run_size(self):
+        # 1,573 samples at n=60.  Runs of 32 four-sample chunks peak near
+        # 0.56 MB, the chunked schedule near 0.34 MB, and one run of all
+        # 1,573 samples near 3.2 MB.
+        g = hub_graph(60, random.Random(60))
+        peak = traced_peak(lambda: estimate_2hop_counts(g, set(range(60)), seed=1))
+        assert peak < 1.5 * 2**20
 
 
 @st.composite
